@@ -274,10 +274,10 @@ COMMANDS = {
 
 
 def _write_csv(path: str, header: list, rows: list):
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _write_json(path: str, header: list, rows: list):

@@ -227,8 +227,12 @@ def batch_endemic_v(params: EpidemicParams, unprotected: np.ndarray, tol: float 
 
     ``unprotected`` has one state per row, aligned with the degree set.
     Rows with R <= 1 return zero.  Same bracketing as
-    :func:`endemic_state`, run in lockstep over the active rows.
+    :func:`endemic_state`, run in lockstep over the active rows; like it,
+    raises :class:`ConvergenceError` carrying the last iterate and the
+    worst |g| if the bisections run out first.
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     x = np.atleast_2d(np.asarray(unprotected, dtype=np.float64))
     d = params.distribution.degrees.astype(np.float64)
     mean_d = params.distribution.mean_degree
@@ -250,6 +254,15 @@ def batch_endemic_v(params: EpidemicParams, unprotected: np.ndarray, tol: float 
         hi = np.where(pos, hi, mid)
         if np.all(np.abs(g) <= tol) and np.all(hi - lo <= np.maximum(1e-13 * mid, 1e-18)):
             break
+    else:
+        v[active] = mid
+        worst = float(np.max(np.abs(g)))
+        raise ConvergenceError(
+            f"endemic fixed point not within {tol} after {BISECT_MAX_ITER} bisections "
+            f"(worst |g| {worst:.3e})",
+            best=v,
+            residual=worst,
+        )
     v[active] = 0.5 * (lo + hi)
     return v
 
@@ -269,6 +282,22 @@ class Trajectory:
 
 def _ode_rhs(delta, d, q_hat, p):
     return -delta * p + (1.0 - p) * d * np.dot(q_hat, p)
+
+
+def _rk4_step(delta, d, q_hat, p, dt):
+    """One classical RK4 step of the mean-field ODE."""
+    k1 = _ode_rhs(delta, d, q_hat, p)
+    k2 = _ode_rhs(delta, d, q_hat, p + 0.5 * dt * k1)
+    k3 = _ode_rhs(delta, d, q_hat, p + 0.5 * dt * k2)
+    k4 = _ode_rhs(delta, d, q_hat, p + dt * k3)
+    return p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _initial_probabilities(params: EpidemicParams, p0) -> np.ndarray:
+    p = np.broadcast_to(np.asarray(p0, dtype=np.float64), (params.distribution.size,)).copy()
+    if np.any(p < 0.0) or np.any(p > 1.0):
+        raise ValueError("initial probabilities must lie in [0, 1]")
+    return p
 
 
 def integrate_dbmf(
@@ -294,11 +323,7 @@ def integrate_dbmf(
         raise ValueError("dt must be positive")
     if sample_stride < 1:
         raise ValueError("sample_stride must be at least 1")
-
-    n = params.distribution.size
-    p = np.broadcast_to(np.asarray(p0, dtype=np.float64), (n,)).copy()
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise ValueError("initial probabilities must lie in [0, 1]")
+    p = _initial_probabilities(params, p0)
 
     d = params.distribution.degrees.astype(np.float64)
     q_hat = state.neighbor_weights()
@@ -308,11 +333,7 @@ def integrate_dbmf(
     times = [0.0]
     samples = [p.copy()]
     for k in range(1, steps + 1):
-        k1 = _ode_rhs(delta, d, q_hat, p)
-        k2 = _ode_rhs(delta, d, q_hat, p + 0.5 * dt * k1)
-        k3 = _ode_rhs(delta, d, q_hat, p + 0.5 * dt * k2)
-        k4 = _ode_rhs(delta, d, q_hat, p + dt * k3)
-        p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        p = _rk4_step(delta, d, q_hat, p, dt)
         if np.any(p < -1e-9) or np.any(p > 1.0 + 1e-9):
             raise IntegrationError(f"iterate left [0, 1] at t={k * dt:g}; reduce dt")
         p = np.clip(p, 0.0, 1.0)
@@ -332,17 +353,33 @@ def settle_dbmf(
 ) -> np.ndarray:
     """Run the ODE until successive unit-time samples differ by < tol.
 
+    The default step is scaled to the ODE's stiffness,
+    ``dt = 0.5/(delta + d_max*s)`` with ``s = sum(q_hat) <= 1`` the
+    unprotected share of edge ends.  The Jacobian
+    ``-diag(delta + d*v) + ((1-p)*d) q_hat^T`` is similar, by a diagonal
+    scaling, to a symmetric matrix, so its eigenvalues are real; they lie
+    in ``[-(delta + d_max*s), d_max*s]`` because ``v <= s`` and
+    ``sum d^2 x/<d> <= d_max*s``.  Hence ``dt*|lambda| < 1``, well inside
+    RK4's real stability interval (about 2.78), and since a fixed point
+    of the RK4 map is a fixed point of the ODE, the settled state does not
+    depend on the step beyond ``tol``.
+
     Returns the settled per-degree probabilities; raises
     :class:`ConvergenceError` if the horizon ``t_max`` is exhausted first.
     """
     _require_same_support(params, state)
-    if dt is None:
-        dt = 0.01 / params.delta
-    n = params.distribution.size
-    p = np.broadcast_to(np.asarray(p0, dtype=np.float64), (n,)).copy()
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if not t_max > 0:
+        raise ValueError("t_max must be positive")
     d = params.distribution.degrees.astype(np.float64)
     q_hat = state.neighbor_weights()
     delta = params.delta
+    if dt is None:
+        dt = 0.5 / (delta + params.distribution.d_max * q_hat.sum())
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    p = _initial_probabilities(params, p0)
 
     chunk_steps = max(1, int(round(1.0 / dt)))
     elapsed = 0.0
@@ -350,11 +387,7 @@ def settle_dbmf(
     while elapsed < t_max:
         prev = p.copy()
         for _ in range(chunk_steps):
-            k1 = _ode_rhs(delta, d, q_hat, p)
-            k2 = _ode_rhs(delta, d, q_hat, p + 0.5 * dt * k1)
-            k3 = _ode_rhs(delta, d, q_hat, p + 0.5 * dt * k2)
-            k4 = _ode_rhs(delta, d, q_hat, p + dt * k3)
-            p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            p = _rk4_step(delta, d, q_hat, p, dt)
         p = np.clip(p, 0.0, 1.0)
         elapsed += chunk_steps * dt
         if np.max(np.abs(p - prev)) < tol:

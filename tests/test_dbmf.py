@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vaxgame import (
     ConsistencyError,
+    ConvergenceError,
+    DegreeDistribution,
     EpidemicParams,
     IntegrationError,
     SocialState,
@@ -113,6 +117,21 @@ class TestEndemicState:
         for row, v in zip(states, vs):
             assert v == pytest.approx(endemic_state(params, SocialState(dist, row)).v, abs=1e-10)
 
+    def test_batch_exhaustion_raises_with_best_iterate(self):
+        rng = np.random.default_rng(13)
+        dist = random_distribution(rng, max_degrees=5)
+        params = random_params(rng, dist)
+        states = rng.uniform(0.5, 1.0, size=(8, dist.size)) * dist.mass
+        with pytest.raises(ConvergenceError) as info:
+            batch_endemic_v(params, states, tol=1e-300)
+        np.testing.assert_allclose(info.value.best, batch_endemic_v(params, states), atol=1e-12)
+        assert 1e-300 < info.value.residual < 1e-12
+
+    def test_batch_rejects_nonpositive_tol(self):
+        params = single_degree_params()
+        with pytest.raises(ValueError):
+            batch_endemic_v(params, params.distribution.mass[None, :], tol=0.0)
+
 
 class TestMonotonicity:
     def test_candidate_order_orders_v(self):
@@ -189,6 +208,61 @@ class TestDynamics:
             integrate_dbmf(params, state, 0.5, -1.0)
         with pytest.raises(ValueError):
             integrate_dbmf(params, state, 0.5, 1.0, dt=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"dt": 0.0},
+            {"dt": -0.01},
+            {"p0": 1.5},
+            {"t_max": 0.0},
+            {"t_max": -1.0},
+            {"tol": 0.0},
+            {"tol": -1e-10},
+        ],
+    )
+    def test_settle_input_validation(self, kwargs):
+        params = single_degree_params()
+        with pytest.raises(ValueError):
+            settle_dbmf(params, SocialState.all_unprotected(params.distribution), **kwargs)
+
+    def test_default_step_matches_fine_step(self):
+        rng = np.random.default_rng(23)
+        for _ in range(6):
+            dist = random_distribution(rng, max_degrees=5, degree_pool=20)
+            params = random_params(rng, dist, lo=0.2, hi=1.2)
+            state = SocialState(dist, rng.uniform(0.2, 1.0, dist.size) * dist.mass)
+            if abs(reproduction(params, state) - 1.0) < 0.1:
+                continue
+            fine = settle_dbmf(params, state, p0=0.5, dt=0.01 / params.delta)
+            np.testing.assert_allclose(settle_dbmf(params, state, p0=0.5), fine, rtol=0, atol=1e-9)
+
+    def test_stiff_power_law_settles(self):
+        # d_max * v is large here; a 0.01/delta step overflows
+        dist = power_law(1, 300, 3.0)
+        params = EpidemicParams(0.5, dist)
+        state = SocialState.all_unprotected(dist)
+        p = settle_dbmf(params, state)
+        np.testing.assert_allclose(p, endemic_state(params, state).p, rtol=0, atol=1e-6)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        degrees=st.lists(st.integers(1, 30), min_size=2, max_size=6, unique=True),
+        data=st.data(),
+        delta_ratio=st.floats(0.2, 1.5),
+    )
+    def test_settle_matches_fixed_point_property(self, degrees, data, delta_ratio):
+        n = len(degrees)
+        mass = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+        dist = DegreeDistribution(sorted(degrees), mass / mass.sum())
+        share = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+        params = EpidemicParams(delta_ratio * dist.second_moment / dist.mean_degree, dist)
+        state = SocialState(dist, share * dist.mass)
+        r = reproduction(params, state)
+        # the approach to the fixed point slows to a crawl at R = 1
+        assume(abs(r - 1.0) >= 0.1)
+        p = settle_dbmf(params, state, p0=0.5)
+        np.testing.assert_allclose(p, endemic_state(params, state).p, rtol=0, atol=1e-6)
 
 
 class TestNimfaReduction:
