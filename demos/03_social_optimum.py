@@ -24,8 +24,8 @@ from vaxgame import (
 def main():
     dist = power_law(1, 100, 3.0)
     params = EpidemicParams(2.0, dist)
-    solver = SocialOptimumSolver(params)
     ladder = ThresholdLadder(params)
+    solver = SocialOptimumSolver(params, ladder=ladder)
     bound = dist.mean_degree / params.delta
     print(f"inefficiency bound <d>/delta = {bound:.4f}\n")
 

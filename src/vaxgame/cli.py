@@ -158,7 +158,7 @@ def cmd_social_opt(scenario: Scenario) -> tuple[list, list]:
     _require_costs(scenario)
     params = scenario.params
     ladder = ThresholdLadder(params)
-    solver = SocialOptimumSolver(params)
+    solver = SocialOptimumSolver(params, ladder=ladder)
     bound = params.distribution.mean_degree / params.delta
     header = [
         "c",

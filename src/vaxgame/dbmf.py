@@ -293,6 +293,12 @@ def _rk4_step(delta, d, q_hat, p, dt):
     return p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _require_unit_interval(p: np.ndarray, t: float):
+    """Raise :class:`IntegrationError` unless p is finite and in [0, 1] up to roundoff."""
+    if not np.all((p >= -1e-9) & (p <= 1.0 + 1e-9)):
+        raise IntegrationError(f"iterate left [0, 1] at t={t:g}; reduce dt")
+
+
 def _initial_probabilities(params: EpidemicParams, p0) -> np.ndarray:
     p = np.broadcast_to(np.asarray(p0, dtype=np.float64), (params.distribution.size,)).copy()
     if np.any(p < 0.0) or np.any(p > 1.0):
@@ -312,7 +318,7 @@ def integrate_dbmf(
 
     The system is smooth and low-dimensional (one equation per degree), so
     a fixed step suffices; the default is ``0.01/delta``.  Iterates leaving
-    [0, 1] beyond roundoff raise :class:`IntegrationError`.
+    [0, 1] beyond roundoff, or not finite, raise :class:`IntegrationError`.
     """
     _require_same_support(params, state)
     if t_end <= 0:
@@ -334,8 +340,7 @@ def integrate_dbmf(
     samples = [p.copy()]
     for k in range(1, steps + 1):
         p = _rk4_step(delta, d, q_hat, p, dt)
-        if np.any(p < -1e-9) or np.any(p > 1.0 + 1e-9):
-            raise IntegrationError(f"iterate left [0, 1] at t={k * dt:g}; reduce dt")
+        _require_unit_interval(p, k * dt)
         p = np.clip(p, 0.0, 1.0)
         if k % sample_stride == 0 or k == steps:
             times.append(k * dt)
@@ -364,8 +369,11 @@ def settle_dbmf(
     of the RK4 map is a fixed point of the ODE, the settled state does not
     depend on the step beyond ``tol``.
 
-    Returns the settled per-degree probabilities; raises
-    :class:`ConvergenceError` if the horizon ``t_max`` is exhausted first.
+    Returns the settled per-degree probabilities.  Raises
+    :class:`IntegrationError` as soon as a unit-time sample is not finite
+    or lies outside [0, 1] beyond roundoff (an unstable caller-supplied
+    ``dt``), and :class:`ConvergenceError` if the horizon ``t_max`` is
+    exhausted first.
     """
     _require_same_support(params, state)
     if not tol > 0:
@@ -388,6 +396,8 @@ def settle_dbmf(
         prev = p.copy()
         for _ in range(chunk_steps):
             p = _rk4_step(delta, d, q_hat, p, dt)
+        # before the clip, which would hide an unstable step
+        _require_unit_interval(p, elapsed + chunk_steps * dt)
         p = np.clip(p, 0.0, 1.0)
         elapsed += chunk_steps * dt
         if np.max(np.abs(p - prev)) < tol:

@@ -140,6 +140,22 @@ class ThresholdLadder:
         return v
 
 
+def matching_ladder(params: EpidemicParams, ladder: ThresholdLadder | None) -> ThresholdLadder:
+    """``ladder`` if it was built for ``params``, a fresh ladder if None.
+
+    Raises ValueError for a ladder built on another curing rate or degree
+    set, whose rungs would answer for the wrong epidemic.
+    """
+    if ladder is None:
+        return ThresholdLadder(params)
+    if ladder.params is not params and not (
+        ladder.params.delta == params.delta
+        and ladder.params.distribution.same_support(params.distribution)
+    ):
+        raise ValueError("ladder built for different epidemic parameters")
+    return ladder
+
+
 @dataclass(frozen=True)
 class EquilibriumResult:
     """The unique pure Nash equilibrium plus its certificate data.
@@ -238,13 +254,7 @@ def solve_pne(spec: GameSpec, ladder: ThresholdLadder | None = None, audit: bool
     audit : bool
         Record the number of windows containing K (must be one).
     """
-    if ladder is None:
-        ladder = ThresholdLadder(spec.params)
-    elif ladder.params is not spec.params and not (
-        ladder.params.delta == spec.params.delta
-        and ladder.params.distribution.same_support(spec.params.distribution)
-    ):
-        raise ValueError("ladder built for different epidemic parameters")
+    ladder = matching_ladder(spec.params, ladder)
 
     u = weight_inverse(spec.weighting, spec.cost)
     K = spec.params.delta * u / (1.0 - u)

@@ -4,10 +4,24 @@ The planner minimizes the true expected cost of the whole population:
 expected infected mass at the endemic state plus total vaccination
 expenditure.  The minimizer over all social states is attained on the
 threshold-structured candidate family (at most one partially vaccinated
-degree, everything below unprotected, everything above vaccinated), so
-the search runs a dense fraction grid per threshold followed by a
-golden-section refinement; the objective is not proven unimodal in the
-fraction, hence grid-then-refine rather than pure golden section.
+degree, everything below unprotected, everything above vaccinated).
+
+On threshold j (the j-th degree in ascending order) the infected mass
+never falls as the threshold fraction grows, and the unprotected mass
+never exceeds that of the full state at j.  So every state on threshold
+j costs at least
+
+    floor_j(c) = infected(full state at j-1) + c*(1 - U(full state at j)),
+
+where the infected term comes from the shared :class:`ThresholdLadder`
+and U is a cumulative sum of the degree masses; neither depends on c.
+The search refines thresholds in ascending floor order and stops at the
+first floor above the best cost found (by more than ``PRUNE_MARGIN``),
+so no threshold that could win is skipped.  A refined threshold gets a
+fraction grid, tabulated on first use and kept across costs, then a
+golden-section refinement around the grid minimum; the objective is not
+proven unimodal in the fraction, hence grid-then-refine rather than pure
+golden section.
 """
 
 from __future__ import annotations
@@ -17,7 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dbmf import EpidemicParams, SocialState, batch_endemic_v, endemic_state
-from .game import CandidateState, GameSpec, compare_candidates, solve_pne
+from .game import (
+    CandidateState,
+    GameSpec,
+    ThresholdLadder,
+    compare_candidates,
+    matching_ladder,
+    solve_pne,
+)
 from .weighting import weight
 
 __all__ = [
@@ -28,6 +49,10 @@ __all__ = [
     "solve_social_optimum",
     "inefficiency",
 ]
+
+# Slack on the floor test.  It sits far above the root solvers' |g| <= 1e-12,
+# so rounding in a floor or in a refined cost never prunes the optimum.
+PRUNE_MARGIN = 1e-10
 
 
 @dataclass(frozen=True)
@@ -83,46 +108,79 @@ def _golden_min(fn, a: float, b: float, width: float):
 class SocialOptimumSolver:
     """Optimal-policy search with cost-independent work shared across costs.
 
-    The endemic map, hence the infected mass and the unprotected mass of
-    every grid state, does not depend on the vaccination cost; they are
-    tabulated once per threshold and combined per cost query.
+    The endemic map, hence the infected and unprotected mass of every
+    state, does not depend on the vaccination cost.  The floor terms (one
+    ladder rung per threshold) are computed once; the fraction table of a
+    threshold is tabulated the first time the floor test lets it through
+    and then combined with every later cost query.  Pass the ladder of an
+    equilibrium sweep over the same parameters as ``ladder`` so its rungs
+    are solved once.
     """
 
-    def __init__(self, params: EpidemicParams, grid_points: int = 1024, refine_width: float = 1e-10):
+    def __init__(
+        self,
+        params: EpidemicParams,
+        grid_points: int = 1024,
+        refine_width: float = 1e-10,
+        ladder: ThresholdLadder | None = None,
+    ):
         if grid_points < 2:
             raise ValueError("grid_points must be at least 2")
         self.params = params
         self.grid_points = grid_points
         self.refine_width = refine_width
-        self._tables = None
+        self.ladder = matching_ladder(params, ladder)
+        self._tables = {}
+        self._floor_terms = None
 
-    def _threshold_tables(self):
-        if self._tables is not None:
-            return self._tables
-        dist = self.params.distribution
-        d = dist.degrees.astype(np.float64)
-        delta = self.params.delta
-        tables = []
-        base = np.zeros_like(dist.mass)
-        for j in range(dist.size):
+    def floors(self, cost: float) -> np.ndarray:
+        """Lower bound on the social cost of every state on each threshold.
+
+        Entry j is ``infected(full state at j-1) + cost*(1 - U(full state
+        at j))``, with an empty state below the lowest threshold.
+        """
+        if self._floor_terms is None:
+            dist = self.params.distribution
+            d = dist.degrees.astype(np.float64)
+            infected_below = np.zeros(dist.size)
+            for j in range(1, dist.size):
+                v = self.ladder.v_at(j - 1)
+                p = d[:j] * v / (self.params.delta + d[:j] * v)
+                infected_below[j] = np.sum(dist.mass[:j] * p)
+            self._floor_terms = (infected_below, np.cumsum(dist.mass))
+        infected_below, unprotected = self._floor_terms
+        return infected_below + cost * (1.0 - unprotected)
+
+    def _table(self, j: int):
+        """Fraction grid on threshold j with the infected and unprotected mass of each point."""
+        table = self._tables.get(j)
+        if table is None:
+            dist = self.params.distribution
+            d = dist.degrees.astype(np.float64)
             f_grid = np.linspace(0.0, float(dist.mass[j]), self.grid_points)
-            states = np.tile(base, (self.grid_points, 1))
+            states = np.zeros((self.grid_points, dist.size))
+            states[:, :j] = dist.mass[:j]
             states[:, j] = f_grid
             v = batch_endemic_v(self.params, states)
-            p = d * v[:, None] / (delta + d * v[:, None])
-            infected = np.sum(states * p, axis=1)
-            unprotected = states.sum(axis=1)
-            tables.append((f_grid, infected, unprotected))
-            base = base.copy()
-            base[j] = dist.mass[j]
-        self._tables = tables
-        return tables
+            p = d * v[:, None] / (self.params.delta + d * v[:, None])
+            table = (f_grid, np.sum(states * p, axis=1), states.sum(axis=1))
+            self._tables[j] = table
+        return table
 
     def _psi(self, j: int, f: float, cost: float) -> float:
         state = SocialState.from_threshold(
             self.params.distribution, int(self.params.distribution.degrees[j]), f
         )
         return social_cost(self.params, cost, state).total
+
+    def _refine(self, j: int, cost: float):
+        """Best ``(fraction, cost)`` on threshold j: grid minimum, then golden section."""
+        f_grid, infected, unprotected = self._table(j)
+        psi = infected + cost * (1.0 - unprotected)
+        k = int(np.argmin(psi))
+        lo = f_grid[max(k - 1, 0)]
+        hi = f_grid[min(k + 1, f_grid.size - 1)]
+        return _golden_min(lambda f: self._psi(j, f, cost), float(lo), float(hi), self.refine_width)
 
     def solve(self, cost: float, sanity_states: int = 50):
         """Minimize the social cost over the candidate family.
@@ -136,24 +194,21 @@ class SocialOptimumSolver:
         if not (0.0 < cost < 1.0):
             raise ValueError("vaccination cost must lie in (0, 1)")
         dist = self.params.distribution
-        tables = self._threshold_tables()
+        floors = self.floors(cost)
 
         # everyone vaccinated is the bottom candidate; ties keep it
         best_psi = cost
-        best = (None, 0.0)
-        for j, (f_grid, infected, unprotected) in enumerate(tables):
-            psi = infected + cost * (1.0 - unprotected)
-            k = int(np.argmin(psi))
-            lo = f_grid[max(k - 1, 0)]
-            hi = f_grid[min(k + 1, f_grid.size - 1)]
-            f_best, psi_best = _golden_min(
-                lambda f: self._psi(j, f, cost), float(lo), float(hi), self.refine_width
-            )
-            if psi_best < best_psi:
-                best_psi = psi_best
-                best = (j, float(f_best))
-
-        j, f = best
+        refined = {}
+        for j in map(int, np.argsort(floors, kind="stable")):
+            if floors[j] > best_psi + PRUNE_MARGIN:
+                break
+            refined[j] = self._refine(j, cost)
+            best_psi = min(best_psi, refined[j][1])
+        j, f = None, 0.0
+        if best_psi < cost:
+            # the smallest threshold attaining the minimum, as an ascending scan keeps
+            j = min(k for k, (_, psi) in refined.items() if psi == best_psi)
+            f = float(refined[j][0])
         if j is None or f <= 0.0:
             # a zero fraction duplicates the previous full-threshold state
             j = None if j in (None, 0) else j - 1
@@ -218,8 +273,9 @@ def inefficiency(params: EpidemicParams, spec: GameSpec) -> InefficiencyReport:
         and spec.params.distribution.same_support(params.distribution)
     ):
         raise ValueError("game spec uses different epidemic parameters")
-    pne = solve_pne(spec)
-    opt_state, opt_cost = solve_social_optimum(params, spec.cost)
+    ladder = ThresholdLadder(params)
+    pne = solve_pne(spec, ladder=ladder)
+    opt_state, opt_cost = SocialOptimumSolver(params, ladder=ladder).solve(spec.cost)
     pne_cost = social_cost(params, spec.cost, pne.state.social_state())
     gap = pne_cost.total - opt_cost.total
     bound = params.distribution.mean_degree / params.delta

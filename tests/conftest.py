@@ -115,6 +115,23 @@ def brute_force_social_optimum(params, costs, grid: int):
     return best
 
 
+def eradication_boundary(params):
+    """Threshold, fraction and unprotected mass of the R = 1 state.
+
+    R is linear in the unprotected mass, so the infection-free state with
+    the fewest vaccinated nodes leaves degrees unprotected in ascending
+    order until sum d^2 m_d reaches delta*<d>; the remainder over t^2 is
+    the fraction at the threshold t.
+    """
+    dist = params.distribution
+    d = dist.degrees.astype(np.float64)
+    need = params.delta * dist.mean_degree
+    cum = np.cumsum(d * d * dist.mass)
+    j = int(np.searchsorted(cum, need))
+    fraction = (need - (float(cum[j - 1]) if j else 0.0)) / d[j] ** 2
+    return int(dist.degrees[j]), fraction, float(dist.mass[:j].sum()) + fraction
+
+
 def states_within_one_step(dist, oracle, solved, grid=1000):
     """True if the oracle grid point sits within one grid step of the
     solved candidate, counting steps across a threshold junction."""

@@ -52,6 +52,7 @@ from vaxgame.cli import main as cli_main
 from conftest import (
     brute_force_pne,
     brute_force_social_optimum,
+    eradication_boundary,
     random_distribution,
     random_params,
     states_within_one_step,
@@ -298,27 +299,10 @@ def test_criterion_5b_infected_ordering(sweep_instance, sweep_table):
     )
 
 
-def _eradication_boundary(params):
-    """Threshold, fraction and unprotected mass of the R = 1 state.
-
-    R is linear in the unprotected mass, so the infection-free state with
-    the fewest vaccinated nodes leaves degrees unprotected in ascending
-    order until sum d^2 m_d reaches delta*<d>; the remainder over t^2 is
-    the fraction at the threshold t.
-    """
-    dist = params.distribution
-    d = dist.degrees.astype(np.float64)
-    need = params.delta * dist.mean_degree
-    cum = np.cumsum(d * d * dist.mass)
-    j = int(np.searchsorted(cum, need))
-    fraction = (need - (float(cum[j - 1]) if j else 0.0)) / d[j] ** 2
-    return int(dist.degrees[j]), fraction, float(dist.mass[:j].sum()) + fraction
-
-
 def test_criterion_5c_social_optimum_threshold(sweep_instance):
     params, _ = sweep_instance
     dist = params.distribution
-    t_b, f_b, unprotected_b = _eradication_boundary(params)
+    t_b, f_b, unprotected_b = eradication_boundary(params)
     oracle = brute_force_social_optimum(params, SWEEP_COSTS, grid=200)
     start = time.perf_counter()
     solver = SocialOptimumSolver(params)

@@ -1,5 +1,7 @@
 """Mean-field machinery: reproduction, fixed point, dynamics, reduction."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -244,6 +246,29 @@ class TestDynamics:
         state = SocialState.all_unprotected(dist)
         p = settle_dbmf(params, state)
         np.testing.assert_allclose(p, endemic_state(params, state).p, rtol=0, atol=1e-6)
+
+    def test_unstable_step_fails_fast(self):
+        # the same instance with the unscaled 0.01/delta step is unstable:
+        # the iterate swings to about 1e4, which the clip would hide while
+        # the loop ran all of t_max
+        dist = power_law(1, 300, 3.0)
+        params = EpidemicParams(0.5, dist)
+        state = SocialState.all_unprotected(dist)
+        start = time.perf_counter()
+        with pytest.raises(IntegrationError):
+            settle_dbmf(params, state, dt=0.01 / params.delta)
+        assert time.perf_counter() - start < 10.0
+
+    def test_nan_iterate_raises(self):
+        # NaN compares false both ways, so a range test written as two
+        # "outside" checks would let it through
+        params = single_degree_params()
+        state = SocialState.all_unprotected(params.distribution)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationError):
+                integrate_dbmf(params, state, 0.9, 1.0, dt=1e200)
+            with pytest.raises(IntegrationError):
+                settle_dbmf(params, state, p0=0.9, dt=1e200)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(

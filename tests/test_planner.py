@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vaxgame import (
+    CandidateState,
+    DegreeDistribution,
     EpidemicParams,
     GameSpec,
     SocialState,
+    ThresholdLadder,
     batch_endemic_v,
     compare_candidates,
     explicit,
@@ -19,8 +24,9 @@ from vaxgame import (
     solve_social_optimum,
     SocialOptimumSolver,
 )
+from vaxgame.planner import _golden_min
 
-from conftest import random_distribution, random_params
+from conftest import eradication_boundary, random_distribution, random_params
 
 
 def k4_params(delta=2.0):
@@ -129,6 +135,105 @@ class TestSocialOptimum:
     def test_grid_floor(self):
         with pytest.raises(ValueError):
             SocialOptimumSolver(k4_params(), grid_points=1)
+
+
+def exhaustive_solve(solver, cost):
+    """The ascending scan the pruned search replaces: refine every threshold.
+
+    Uses the solver's own fraction tables and golden-section refinement,
+    keeps the first threshold that strictly improves on everyone
+    vaccinated and on every earlier threshold, and canonicalizes a zero
+    fraction as the solver does.
+    """
+    dist = solver.params.distribution
+    best_psi, best = cost, (None, 0.0)
+    for j in range(dist.size):
+        f_grid, infected, unprotected = solver._table(j)
+        psi = infected + cost * (1.0 - unprotected)
+        k = int(np.argmin(psi))
+        lo = f_grid[max(k - 1, 0)]
+        hi = f_grid[min(k + 1, f_grid.size - 1)]
+        f_best, psi_best = _golden_min(
+            lambda f: solver._psi(j, f, cost), float(lo), float(hi), solver.refine_width
+        )
+        if psi_best < best_psi:
+            best_psi, best = psi_best, (j, float(f_best))
+    j, f = best
+    if j is None or f <= 0.0:
+        j = None if j in (None, 0) else j - 1
+        f = float(dist.mass[j]) if j is not None else 0.0
+    state = CandidateState(dist, None if j is None else int(dist.degrees[j]), f)
+    return state, social_cost(solver.params, cost, state.social_state())
+
+
+class TestPruning:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        degrees=st.lists(st.integers(1, 30), min_size=2, max_size=6, unique=True),
+        data=st.data(),
+        delta_ratio=st.floats(0.05, 0.99),
+        cost=st.floats(0.01, 0.99),
+    )
+    def test_floor_is_a_lower_bound(self, degrees, data, delta_ratio, cost):
+        n = len(degrees)
+        mass = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+        dist = DegreeDistribution(sorted(degrees), mass / mass.sum())
+        params = EpidemicParams(delta_ratio * dist.second_moment / dist.mean_degree, dist)
+        floors = SocialOptimumSolver(params).floors(cost)
+        d = dist.degrees.astype(np.float64)
+        for j in range(n):
+            states = np.zeros((200, n))
+            states[:, :j] = dist.mass[:j]
+            states[:, j] = np.linspace(0.0, float(dist.mass[j]), 200)
+            v = batch_endemic_v(params, states)
+            p = d * v[:, None] / (params.delta + d * v[:, None])
+            psi = np.sum(states * p, axis=1) + cost * (1.0 - states.sum(axis=1))
+            assert floors[j] <= float(np.min(psi)) + 1e-12
+
+    def test_pruned_search_matches_exhaustive_scan(self):
+        rng = np.random.default_rng(113)
+        skipped = 0
+        most_refined = 0
+        for _ in range(20):
+            dist = random_distribution(rng)
+            params = random_params(rng, dist, lo=0.1, hi=0.95)
+            cost = float(rng.uniform(0.02, 0.98))
+            pruned = SocialOptimumSolver(params)
+            state, bd = pruned.solve(cost)
+            ref_state, ref_bd = exhaustive_solve(SocialOptimumSolver(params), cost)
+            assert state.threshold == ref_state.threshold
+            assert state.fraction == ref_state.fraction
+            assert bd.total == ref_bd.total
+            skipped += dist.size - len(pruned._tables)
+            most_refined = max(most_refined, len(pruned._tables))
+        # the floors prune on these instances, and some instance refines a
+        # second threshold after the first one set the incumbent
+        assert skipped > 0 and most_refined > 1
+
+    def test_shared_ladder(self):
+        dist = power_law(1, 40, 3.0)
+        params = EpidemicParams(2.0, dist)
+        ladder = ThresholdLadder(params)
+        shared = SocialOptimumSolver(EpidemicParams(2.0, power_law(1, 40, 3.0)), ladder=ladder)
+        assert shared.ladder is ladder
+        state, bd = shared.solve(0.4)
+        ref_state, ref_bd = SocialOptimumSolver(params).solve(0.4)
+        assert (state.threshold, state.fraction, bd.total) == (
+            ref_state.threshold,
+            ref_state.fraction,
+            ref_bd.total,
+        )
+        with pytest.raises(ValueError):
+            SocialOptimumSolver(EpidemicParams(2.5, dist), ladder=ladder)
+
+    def test_eradication_boundary_at_d_max_1000(self):
+        params = EpidemicParams(2.0, power_law(1, 1000, 3.0))
+        t_b, f_b, _ = eradication_boundary(params)
+        solver = SocialOptimumSolver(params)
+        for c in (0.1, 0.5, 0.9):
+            state, _ = solver.solve(c)
+            assert state.threshold == t_b
+            assert state.fraction == pytest.approx(f_b, abs=1e-9)
 
 
 class TestInefficiency:
