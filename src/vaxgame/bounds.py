@@ -87,8 +87,7 @@ def endemic_odds(ctx: PowerLawBoundContext, t: int) -> float:
     params = ctx.params
     if reproduction(params, state) <= 1.0 + VALID_T_MARGIN:
         raise ValueError(f"threshold {t} not large enough for an endemic state")
-    v = endemic_state(params, state).v
-    return t * v / (ctx.delta + t * v)
+    return float(endemic_state(params, state).p[ctx.distribution.index_of(t)])
 
 
 def odds_lower_bound(ctx: PowerLawBoundContext, t: int) -> float:

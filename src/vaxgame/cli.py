@@ -77,7 +77,8 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(f"invalid distribution: {exc}") from exc
 
     delta = raw.get("delta")
-    if not isinstance(delta, (int, float)) or not delta > 0:
+    # type(), not isinstance: JSON true is a bool, which is an int
+    if type(delta) not in (int, float) or not delta > 0:
         raise ScenarioError("'delta' must be a positive number")
 
     specs = raw.get("weightings", [{"kind": "identity"}])
@@ -91,13 +92,13 @@ def load_scenario(path: str) -> Scenario:
     cost = raw.get("cost")
     if isinstance(cost, dict):
         try:
-            start, stop, steps = float(cost["start"]), float(cost["stop"]), int(cost["steps"])
+            start, stop, steps = float(cost["start"]), float(cost["stop"]), cost["steps"]
         except (KeyError, ValueError, TypeError) as exc:
             raise ScenarioError("cost sweep needs numeric 'start', 'stop', 'steps'") from exc
         if not start < stop:
             raise ScenarioError("cost sweep requires start < stop")
-        if steps < 2:
-            raise ScenarioError("cost sweep requires at least 2 steps")
+        if type(steps) is not int or steps < 2:
+            raise ScenarioError("cost sweep 'steps' must be an integer of at least 2")
         costs = [float(c) for c in np.linspace(start, stop, steps)]
     elif isinstance(cost, (int, float)):
         costs = [float(cost)]

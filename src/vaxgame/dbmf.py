@@ -39,8 +39,9 @@ __all__ = [
 
 # Endemic roots closer to criticality than this resolve to v = 0.
 NEAR_CRITICAL_R = 1e-12
-BISECT_MAX_ITER = 200
-BISECT_LO = 1e-300
+# Newton from v = 0 roughly doubles v per step until near the root: about
+# ten steps at delta = 0.5, one more per halving of delta (41 at 1e-9).
+NEWTON_MAX_ITER = 200
 
 
 class ConsistencyError(ValueError):
@@ -78,6 +79,14 @@ class EpidemicParams:
         return self.delta < d.second_moment / d.mean_degree
 
 
+def _require_unprotected(distribution: DegreeDistribution, x: np.ndarray, ndim: int):
+    """Raise ValueError unless x has ``ndim`` axes, the last over the degrees, within [0, m_d]."""
+    if x.ndim != ndim or x.shape[-1] != distribution.size:
+        raise ValueError("unprotected mass must align with the degree set")
+    if not np.all((x >= -1e-15) & (x <= distribution.mass + 1e-15)):
+        raise ValueError("unprotected mass must lie in [0, m_d] per degree")
+
+
 class SocialState:
     """Per-degree mass of unprotected nodes, keyed to a distribution.
 
@@ -87,10 +96,7 @@ class SocialState:
 
     def __init__(self, distribution: DegreeDistribution, unprotected):
         x = np.ascontiguousarray(unprotected, dtype=np.float64)
-        if x.shape != distribution.degrees.shape:
-            raise ValueError("unprotected mass must align with the degree set")
-        if np.any(x < -1e-15) or np.any(x > distribution.mass + 1e-15):
-            raise ValueError("unprotected mass must lie in [0, m_d] per degree")
+        _require_unprotected(distribution, x, ndim=1)
         x = np.clip(x, 0.0, distribution.mass)
         x.setflags(write=False)
         self.distribution = distribution
@@ -168,102 +174,100 @@ def reproduction(params: EpidemicParams, state: SocialState) -> float:
     return float(np.sum(d * d * state.unprotected) / (params.delta * params.distribution.mean_degree))
 
 
-def _probabilities(params: EpidemicParams, v: float) -> np.ndarray:
+def _probabilities(params: EpidemicParams, v) -> np.ndarray:
+    """p_d = d*v/(delta + d*v): one row for a scalar v, one per entry of an array."""
     d = params.distribution.degrees.astype(np.float64)
+    v = np.asarray(v, dtype=np.float64)[..., None]
     return d * v / (params.delta + d * v)
+
+
+def _coefficients(params: EpidemicParams, unprotected: np.ndarray) -> np.ndarray:
+    """Rows of d*q_hat_d = d^2*x_d/<d>, the numerators of g."""
+    d = params.distribution.degrees.astype(np.float64)
+    return unprotected * (d * d) / params.distribution.mean_degree
+
+
+def _endemic_roots(params: EpidemicParams, coeff: np.ndarray, tol: float):
+    """Root v of g(v) = sum_d coeff_d/(delta + d*v) - 1 for each row of ``coeff``.
+
+    Every row needs g(0) = R - 1 > 0.  g is strictly decreasing and convex,
+    so a tangent left of the root meets zero at or left of the root: Newton
+    from v = 0 rises monotonically to the root and never overshoots, and
+    needs no bracket or fallback.  A row stops for good at the first iterate
+    with |g| <= tol and a next step g/|g'| of at most 1e-13*v.  The step is
+    signed, so the test also ends a row once rounding puts g <= 0, as it
+    does near R = 1, where g is rounding noise.
+
+    Returns ``(v, |g(v)|)`` per row.  Raises :class:`ConvergenceError` with
+    the last iterates and the worst |g| after ``NEWTON_MAX_ITER`` steps.
+    """
+    d = params.distribution.degrees.astype(np.float64)
+    v = np.zeros(coeff.shape[0])
+    done = np.zeros(v.shape, dtype=bool)
+    # two work arrays of the batch's size, reused by every step
+    w, terms = np.empty_like(coeff), np.empty_like(coeff)
+    for _ in range(NEWTON_MAX_ITER):
+        # a finished row keeps its v, so its g is recomputed bit for bit
+        np.add(params.delta, np.outer(v, d, out=w), out=w)
+        g = np.divide(coeff, w, out=terms).sum(axis=1) - 1.0
+        step = g / (np.divide(terms, w, out=w) @ d)  # g/|g'|
+        done |= (np.abs(g) <= tol) & (step <= 1e-13 * v)
+        if done.all():
+            return v, np.abs(g)
+        v = np.where(done, v, v + step)
+    worst = float(np.max(np.abs(g)))
+    message = f"endemic fixed point not within {tol} after {NEWTON_MAX_ITER} Newton steps"
+    raise ConvergenceError(f"{message} (worst |g| {worst:.3e})", best=v, residual=worst)
 
 
 def endemic_state(params: EpidemicParams, state: SocialState, tol: float = 1e-12) -> EndemicState:
     """Endemic fixed point of the mean-field dynamics.
 
-    For R(x) <= 1 the disease-free state is returned.  Otherwise the unique
-    root of g(v) = sum_d d*q_hat_d/(delta + d*v) - 1 on (0, 1] is bracketed
-    by bisection: g is strictly decreasing with g(0+) = R - 1 > 0 and
-    g(1) < 0, so bisection converges unconditionally even when g is nearly
-    flat close to criticality.
+    For R(x) <= 1 + NEAR_CRITICAL_R the disease-free state is returned.
+    Otherwise v is the unique root in (0, 1) of
+    g(v) = sum_d d*q_hat_d/(delta + d*v) - 1, found by the monotone Newton
+    kernel :func:`_endemic_roots` on a batch of one row.  If its iteration
+    cap runs out, the :class:`ConvergenceError` carries the last iterate
+    as an :class:`EndemicState`.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     _require_same_support(params, state)
     r = reproduction(params, state)
-    n = params.distribution.size
     if r <= 1.0 + NEAR_CRITICAL_R:
-        degenerate = r > 1.0
-        return EndemicState(0.0, np.zeros(n), r, residual=0.0, degenerate=degenerate)
-
-    d = params.distribution.degrees.astype(np.float64)
-    coeff = d * state.neighbor_weights()  # d * q_hat_d
-    delta = params.delta
-
-    def g(v):
-        return float(np.sum(coeff / (delta + d * v)) - 1.0)
-
-    lo, hi = BISECT_LO, 1.0
-    best_v, best_g = lo, g(lo)
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if abs(gm) < abs(best_g):
-            best_v, best_g = mid, gm
-        if gm > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        # a tight bracket on top of |g| <= tol keeps the relative error of
-        # v small even near criticality, where g is tiny everywhere
-        if abs(gm) <= tol and hi - lo <= max(1e-13 * mid, 1e-18):
-            return EndemicState(mid, _probabilities(params, mid), r, residual=abs(gm))
-    if abs(best_g) <= tol:
-        return EndemicState(best_v, _probabilities(params, best_v), r, residual=abs(best_g))
-    raise ConvergenceError(
-        f"endemic fixed point not within {tol} after {BISECT_MAX_ITER} bisections",
-        best=EndemicState(best_v, _probabilities(params, best_v), r, residual=abs(best_g)),
-        residual=abs(best_g),
-    )
+        return EndemicState(0.0, np.zeros(params.distribution.size), r, residual=0.0, degenerate=r > 1.0)
+    try:
+        v, residual = _endemic_roots(params, _coefficients(params, state.unprotected[None, :]), tol)
+    except ConvergenceError as exc:
+        v = float(exc.best[0])
+        exc.best = EndemicState(v, _probabilities(params, v), r, residual=exc.residual)
+        raise
+    v = float(v[0])
+    return EndemicState(v, _probabilities(params, v), r, residual=float(residual[0]))
 
 
 def batch_endemic_v(params: EpidemicParams, unprotected: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Endemic v for many social states at once.
 
-    ``unprotected`` has one state per row, aligned with the degree set.
-    Rows with R <= 1 return zero.  Same bracketing as
-    :func:`endemic_state`, run in lockstep over the active rows; like it,
-    raises :class:`ConvergenceError` carrying the last iterate and the
-    worst |g| if the bisections run out first.
+    ``unprotected`` has one state per row, aligned with the degree set and
+    within [0, m_d] (ValueError otherwise).  Rows with R <= 1 +
+    NEAR_CRITICAL_R give zero, the rest go through :func:`_endemic_roots`
+    like :func:`endemic_state`.  On exhaustion the :class:`ConvergenceError`
+    carries the last iterates, zero in the subcritical rows.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     x = np.atleast_2d(np.asarray(unprotected, dtype=np.float64))
-    d = params.distribution.degrees.astype(np.float64)
-    mean_d = params.distribution.mean_degree
-    delta = params.delta
-    coeff = x * (d * d) / mean_d  # rows of d * q_hat_d
-    r = coeff.sum(axis=1) / delta
+    _require_unprotected(params.distribution, x, ndim=2)
+    coeff = _coefficients(params, x)
     v = np.zeros(x.shape[0])
-    active = r > 1.0 + NEAR_CRITICAL_R
-    if not np.any(active):
-        return v
-    c = coeff[active]
-    lo = np.full(c.shape[0], BISECT_LO)
-    hi = np.ones(c.shape[0])
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        g = (c / (delta + np.outer(mid, d))).sum(axis=1) - 1.0
-        pos = g > 0.0
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
-        if np.all(np.abs(g) <= tol) and np.all(hi - lo <= np.maximum(1e-13 * mid, 1e-18)):
-            break
-    else:
-        v[active] = mid
-        worst = float(np.max(np.abs(g)))
-        raise ConvergenceError(
-            f"endemic fixed point not within {tol} after {BISECT_MAX_ITER} bisections "
-            f"(worst |g| {worst:.3e})",
-            best=v,
-            residual=worst,
-        )
-    v[active] = 0.5 * (lo + hi)
+    active = coeff.sum(axis=1) / params.delta > 1.0 + NEAR_CRITICAL_R
+    try:
+        v[active] = _endemic_roots(params, coeff[active], tol)[0]
+    except ConvergenceError as exc:
+        v[active] = exc.best
+        exc.best = v
+        raise
     return v
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dbmf import EpidemicParams, SocialState, endemic_state
+from .dbmf import EpidemicParams, SocialState, _probabilities, endemic_state, reproduction
 from .degree import DegreeDistribution
 from .weighting import WeightingSpec, weight, weight_inverse
 
@@ -210,14 +210,12 @@ def _result_from_candidate(
     tie: bool,
     audit: int | None,
 ) -> EquilibriumResult:
-    dist = spec.distribution
-    d = dist.degrees.astype(np.float64)
-    x = cand.social_state().unprotected
-    p = d * v / (spec.params.delta + d * v)
-    infected = float(np.sum(x * p))
-    psi = infected + spec.cost * (1.0 - float(x.sum()))
-    i = dist.index_of(cand.threshold)
-    r = float(np.sum(d * d * x) / (spec.params.delta * dist.mean_degree))
+    social = cand.social_state()
+    p = _probabilities(spec.params, v)
+    infected = float(np.sum(social.unprotected * p))
+    psi = infected + spec.cost * (1.0 - social.unprotected_mass)
+    i = spec.distribution.index_of(cand.threshold)
+    r = reproduction(spec.params, social)
     return EquilibriumResult(
         state=cand,
         v=v,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dbmf import EpidemicParams, SocialState, batch_endemic_v, endemic_state
+from .dbmf import EpidemicParams, SocialState, _probabilities, batch_endemic_v, endemic_state
 from .game import (
     CandidateState,
     GameSpec,
@@ -126,6 +126,8 @@ class SocialOptimumSolver:
     ):
         if grid_points < 2:
             raise ValueError("grid_points must be at least 2")
+        if not (refine_width > 0 and np.isfinite(refine_width)):
+            raise ValueError("refine_width must be positive and finite")
         self.params = params
         self.grid_points = grid_points
         self.refine_width = refine_width
@@ -141,12 +143,10 @@ class SocialOptimumSolver:
         """
         if self._floor_terms is None:
             dist = self.params.distribution
-            d = dist.degrees.astype(np.float64)
             infected_below = np.zeros(dist.size)
             for j in range(1, dist.size):
-                v = self.ladder.v_at(j - 1)
-                p = d[:j] * v / (self.params.delta + d[:j] * v)
-                infected_below[j] = np.sum(dist.mass[:j] * p)
+                p = _probabilities(self.params, self.ladder.v_at(j - 1))
+                infected_below[j] = np.sum(dist.mass[:j] * p[:j])
             self._floor_terms = (infected_below, np.cumsum(dist.mass))
         infected_below, unprotected = self._floor_terms
         return infected_below + cost * (1.0 - unprotected)
@@ -156,13 +156,11 @@ class SocialOptimumSolver:
         table = self._tables.get(j)
         if table is None:
             dist = self.params.distribution
-            d = dist.degrees.astype(np.float64)
             f_grid = np.linspace(0.0, float(dist.mass[j]), self.grid_points)
             states = np.zeros((self.grid_points, dist.size))
             states[:, :j] = dist.mass[:j]
             states[:, j] = f_grid
-            v = batch_endemic_v(self.params, states)
-            p = d * v[:, None] / (self.params.delta + d * v[:, None])
+            p = _probabilities(self.params, batch_endemic_v(self.params, states))
             table = (f_grid, np.sum(states * p, axis=1), states.sum(axis=1))
             self._tables[j] = table
         return table
@@ -222,9 +220,7 @@ class SocialOptimumSolver:
         if sanity_states:
             rng = np.random.default_rng(0)
             random_states = rng.uniform(size=(sanity_states, dist.size)) * dist.mass
-            v = batch_endemic_v(self.params, random_states)
-            d = dist.degrees.astype(np.float64)
-            p = d * v[:, None] / (self.params.delta + d * v[:, None])
+            p = _probabilities(self.params, batch_endemic_v(self.params, random_states))
             psi_rand = np.sum(random_states * p, axis=1) + cost * (
                 1.0 - random_states.sum(axis=1)
             )

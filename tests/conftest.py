@@ -57,6 +57,32 @@ def best_response_violation(spec, unprotected, v):
     return viol.max(axis=1)
 
 
+def bisect_endemic_v(params, unprotected):
+    """Endemic v of each row of unprotected mass, by plain bisection.
+
+    An oracle for the library's root kernel that shares none of its code:
+    g(v) = sum_d d^2*x_d/(<d>*(delta + d*v)) - 1 is halved on [0, 1]
+    until every midpoint stops moving in floating point.  Rows with
+    g(0) <= 0 give 0; the library also gives 0 for R <= 1 + 1e-12.
+    """
+    dist = params.distribution
+    d = dist.degrees.astype(np.float64)
+    x = np.atleast_2d(np.asarray(unprotected, dtype=np.float64))
+
+    def g(v):
+        return np.sum(d * d * x / (dist.mean_degree * (params.delta + np.outer(v, d))), axis=1) - 1.0
+
+    lo = np.zeros(x.shape[0])
+    hi = np.where(g(lo) > 0.0, 1.0, 0.0)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            return mid
+        pos = g(mid) > 0.0
+        lo = np.where(pos, mid, lo)
+        hi = np.where(pos, hi, mid)
+
+
 def brute_force_pne(spec: GameSpec, grid: int = 1000):
     """Grid search for the equilibrium, independent of the threshold scan.
 

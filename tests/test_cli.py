@@ -206,6 +206,26 @@ class TestErrorExit:
         assert err["error"] == "ScenarioError"
         assert "JSON" in err["message"]
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("delta", True),  # ran with delta = 1 before
+            ("cost", {"start": 0.1, "stop": 0.9, "steps": 2.7}),  # ran with 2 steps before
+            ("cost", {"start": 0.1, "stop": 0.9, "steps": True}),
+            ("cost", {"start": 0.1, "stop": 0.9, "steps": "5"}),
+        ],
+        ids=["delta-true", "steps-float", "steps-true", "steps-string"],
+    )
+    def test_mistyped_scenario_values_exit_2(self, tmp_path, capsys, key, value):
+        obj = k4_scenario()
+        obj[key] = value
+        scenario = write_scenario(tmp_path, obj)
+        out = tmp_path / "o.csv"
+        rc = main(["solve", "pne", "--scenario", scenario, "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ScenarioError" and key in err["message"]
+
     def test_missing_cost_for_pne(self, tmp_path, capsys):
         obj = k4_scenario()
         del obj["cost"]

@@ -23,9 +23,10 @@ from vaxgame import (
     reproduction,
     settle_dbmf,
 )
-from vaxgame.dbmf import NEAR_CRITICAL_R
+from vaxgame import dbmf
+from vaxgame.dbmf import NEAR_CRITICAL_R, EndemicState
 
-from conftest import random_distribution, random_params
+from conftest import bisect_endemic_v, random_distribution, random_params
 
 
 def single_degree_params(k=4, delta=2.0):
@@ -119,20 +120,162 @@ class TestEndemicState:
         for row, v in zip(states, vs):
             assert v == pytest.approx(endemic_state(params, SocialState(dist, row)).v, abs=1e-10)
 
-    def test_batch_exhaustion_raises_with_best_iterate(self):
+    def test_batch_exhaustion_raises_with_best_iterate(self, monkeypatch):
         rng = np.random.default_rng(13)
         dist = random_distribution(rng, max_degrees=5)
         params = random_params(rng, dist)
         states = rng.uniform(0.5, 1.0, size=(8, dist.size)) * dist.mass
+        states[3] = 0.0
+        roots = batch_endemic_v(params, states)
+        active = roots > 0.0
+        assert not active[3] and active.sum() == 7
+        monkeypatch.setattr(dbmf, "NEWTON_MAX_ITER", 2)
         with pytest.raises(ConvergenceError) as info:
-            batch_endemic_v(params, states, tol=1e-300)
-        np.testing.assert_allclose(info.value.best, batch_endemic_v(params, states), atol=1e-12)
-        assert 1e-300 < info.value.residual < 1e-12
+            batch_endemic_v(params, states)
+        best = info.value.best
+        assert best.shape == roots.shape and np.all(best[~active] == 0.0)
+        # monotone Newton: every iterate lies strictly between 0 and the root
+        assert np.all(best[active] > 0.0) and np.all(best[active] < roots[active])
+        assert info.value.residual > 1e-12
+
+    def test_returned_residual_meets_tol(self):
+        # 1e-17 is below the rounding of g: a solve returns only where g
+        # rounds to exactly zero, and raises otherwise
+        rng = np.random.default_rng(3)
+        outcomes = set()
+        for _ in range(30):
+            dist = random_distribution(rng)
+            params = random_params(rng, dist)
+            state = SocialState(dist, rng.uniform(0.5, 1.0, dist.size) * dist.mass)
+            try:
+                assert endemic_state(params, state, tol=1e-17).residual <= 1e-17
+                outcomes.add("returned")
+            except ConvergenceError as exc:
+                assert exc.residual > 1e-17
+                outcomes.add("raised")
+        assert outcomes == {"returned", "raised"}
+
+    def test_scalar_exhaustion_raises_with_best_iterate(self, monkeypatch):
+        dist = power_law(1, 100, 3.0)
+        params = EpidemicParams(2.0, dist)
+        state = SocialState.all_unprotected(dist)
+        root = endemic_state(params, state).v
+        monkeypatch.setattr(dbmf, "NEWTON_MAX_ITER", 2)
+        with pytest.raises(ConvergenceError) as info:
+            endemic_state(params, state)
+        best = info.value.best
+        assert isinstance(best, EndemicState) and 0.0 < best.v < root
+        assert best.residual == info.value.residual > 1e-12
 
     def test_batch_rejects_nonpositive_tol(self):
-        params = single_degree_params()
+        # nan ran every iteration and then raised ConvergenceError before
+        dist = power_law(1, 5, 3.0)
+        params = EpidemicParams(1.0, dist)
+        for tol in (0.0, -1e-12, float("nan")):
+            with pytest.raises(ValueError):
+                batch_endemic_v(params, dist.mass[None, :], tol=tol)
+            with pytest.raises(ValueError):
+                endemic_state(params, SocialState.all_unprotected(dist), tol=tol)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            lambda m: np.full((2, 1), 0.1),  # broadcast to every degree before
+            lambda m: np.full((2, m.size + 1), 0.1),
+            lambda m: np.ones((2, 2, m.size)) * m,
+            lambda m: -m[None, :],  # returned v = 0 before
+            lambda m: np.where(np.arange(m.size) == 2, -1e-12, m)[None, :],
+            lambda m: (m * (1.0 + 1e-9))[None, :],
+            lambda m: np.where(np.arange(m.size) == 2, np.nan, m)[None, :],
+        ],
+        ids=["width-1", "width+1", "3-d", "negative", "slightly-negative", "above-m_d", "nan"],
+    )
+    def test_rejects_malformed_rows(self, rows):
+        dist = power_law(1, 5, 3.0)
+        params = EpidemicParams(1.0, dist)
+        x = rows(dist.mass)
         with pytest.raises(ValueError):
-            batch_endemic_v(params, params.distribution.mass[None, :], tol=0.0)
+            batch_endemic_v(params, x)
+        if x.ndim == 2:
+            # endemic_state takes a SocialState, which applies the same rule
+            with pytest.raises(ValueError):
+                SocialState(dist, x[0])
+
+    def test_accepts_roundoff_slack(self):
+        dist = power_law(1, 5, 3.0)
+        params = EpidemicParams(1.0, dist)
+        x = dist.mass * (1.0 + 1e-16)
+        x[0] = -1e-16
+        assert batch_endemic_v(params, x)[0] == pytest.approx(
+            endemic_state(params, SocialState(dist, x)).v, rel=1e-12
+        )
+
+
+def assert_matches_oracle(params, unprotected):
+    """Both entry points agree with the bisection oracle on every row.
+
+    Tolerance: the kernel stops once its next step is at most 1e-13*v, and
+    where g is flat near R = 1 the root is fixed only to within the
+    rounding of g (a few 1e-16) over the slope |g'(v)|.
+    """
+    x = np.atleast_2d(unprotected)
+    dist = params.distribution
+    oracle = bisect_endemic_v(params, x)
+    d = dist.degrees.astype(float)
+    coeff = x * d * d / dist.mean_degree
+    slope = np.sum(coeff * d / (params.delta + np.outer(oracle, d)) ** 2, axis=1)
+    with np.errstate(divide="ignore"):
+        atol = 2e-13 * oracle + 1e-14 / slope
+    batch = batch_endemic_v(params, x)
+    scalar = np.array([endemic_state(params, SocialState(dist, row)).v for row in x])
+    for v in (batch, scalar):
+        assert np.all(np.abs(v - oracle) <= atol), np.max(np.abs(v - oracle) / atol)
+
+
+class TestRootOracle:
+    def test_random_instances(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            dist = random_distribution(rng)
+            params = random_params(rng, dist, lo=0.2, hi=1.2)
+            states = rng.uniform(0.0, 1.0, size=(20, dist.size)) * dist.mass
+            assert_matches_oracle(params, states)
+
+    @pytest.mark.parametrize("excess", [1e-9, 1e-6])
+    @pytest.mark.parametrize("d_max", [5, 100, 1000])
+    def test_near_critical(self, d_max, excess):
+        # all unprotected at R = 1 + excess
+        dist = power_law(1, d_max, 3.0)
+        params = EpidemicParams(dist.second_moment / dist.mean_degree / (1.0 + excess), dist)
+        r = reproduction(params, SocialState.all_unprotected(dist))
+        assert r - 1.0 == pytest.approx(excess, rel=1e-6)
+        assert_matches_oracle(params, dist.mass)
+
+    @pytest.mark.parametrize("d_max", [5, 100, 1000])
+    def test_delta_near_moment_ratio(self, d_max):
+        dist = power_law(1, d_max, 3.0)
+        params = EpidemicParams(0.999 * dist.second_moment / dist.mean_degree, dist)
+        assert_matches_oracle(params, dist.mass)
+
+    def test_full_thresholds_at_d_max_1e4(self):
+        # 60 thresholds, log-spaced over 10^4 degrees, the first ones subcritical
+        dist = power_law(1, 10_000, 3.0)
+        params = EpidemicParams(2.0, dist)
+        idx = np.unique(np.geomspace(1, dist.size, 60).astype(int)) - 1
+        states = np.zeros((idx.size, dist.size))
+        for row, j in enumerate(idx):
+            states[row, : j + 1] = dist.mass[: j + 1]
+        assert 0.0 == batch_endemic_v(params, states)[0] < batch_endemic_v(params, states)[-1]
+        assert_matches_oracle(params, states)
+
+    def test_single_degree_closed_form(self):
+        # kx/(delta + kv) = 1 gives v = x - delta/k
+        params = single_degree_params(k=4, delta=2.0)
+        x = np.linspace(0.0, 1.0, 41)[:, None]
+        closed = np.maximum(x[:, 0] - 0.5, 0.0)
+        for v in (bisect_endemic_v(params, x), batch_endemic_v(params, x)):
+            np.testing.assert_allclose(v, closed, rtol=2e-13, atol=1e-16)
+        assert_matches_oracle(params, x)
 
 
 class TestMonotonicity:

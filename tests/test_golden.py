@@ -1,0 +1,52 @@
+"""CLI artifacts against golden files captured before the endemic root
+kernel changed from bisection to Newton.
+
+Integer and label columns must match exactly.  Floats may move by the
+root solver's own error, so they agree within REL 1e-9 / ABS 1e-12, the
+tolerance the bench reference check uses.
+"""
+
+import csv
+import math
+from pathlib import Path
+
+import pytest
+
+from vaxgame.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = sorted((ROOT / "tests" / "golden").glob("*.csv"))
+EXACT_COLUMNS = {"threshold", "opt_threshold", "d_t", "d_w", "uninformative", "alpha"}
+REL_TOL, ABS_TOL = 1e-9, 1e-12
+
+
+def read_csv(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], rows[1:]
+
+
+def test_golden_set_complete():
+    # pne and opt on three scenarios, bounds where it applies (bounds_d500)
+    assert len(GOLDEN) == 7
+
+
+@pytest.mark.parametrize("golden", GOLDEN, ids=[p.stem for p in GOLDEN])
+def test_cli_matches_golden(golden, tmp_path):
+    scenario, command = golden.stem.rsplit("_", 1)
+    out = tmp_path / golden.name
+    rc = main(["solve", command, "--scenario", str(ROOT / "scenarios" / f"{scenario}.json"), "--out", str(out)])
+    assert rc == 0
+    header, rows = read_csv(out)
+    want_header, want_rows = read_csv(golden)
+    assert header == want_header and len(rows) == len(want_rows)
+    for row, want in zip(rows, want_rows):
+        for column, got, expected in zip(header, row, want):
+            if column in EXACT_COLUMNS:
+                assert got == expected, (column, row)
+            else:
+                assert math.isclose(float(got), float(expected), rel_tol=REL_TOL, abs_tol=ABS_TOL), (
+                    column,
+                    got,
+                    expected,
+                )

@@ -136,6 +136,13 @@ class TestSocialOptimum:
         with pytest.raises(ValueError):
             SocialOptimumSolver(k4_params(), grid_points=1)
 
+    @pytest.mark.parametrize("width", [0.0, -1e-10, float("nan"), float("inf")])
+    def test_refine_width_positive_and_finite(self, width):
+        # a negative width never ended the golden-section loop, so only the
+        # constructor is called: a regression must fail here, not hang
+        with pytest.raises(ValueError):
+            SocialOptimumSolver(k4_params(), refine_width=width)
+
 
 def exhaustive_solve(solver, cost):
     """The ascending scan the pruned search replaces: refine every threshold.
