@@ -58,6 +58,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _is_number(value) -> bool:
+    # type(), not isinstance: JSON true is a bool, which is an int
+    return type(value) in (int, float)
+
+
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -77,8 +82,7 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(f"invalid distribution: {exc}") from exc
 
     delta = raw.get("delta")
-    # type(), not isinstance: JSON true is a bool, which is an int
-    if type(delta) not in (int, float) or not delta > 0:
+    if not _is_number(delta) or not delta > 0:
         raise ScenarioError("'delta' must be a positive number")
 
     specs = raw.get("weightings", [{"kind": "identity"}])
@@ -92,15 +96,17 @@ def load_scenario(path: str) -> Scenario:
     cost = raw.get("cost")
     if isinstance(cost, dict):
         try:
-            start, stop, steps = float(cost["start"]), float(cost["stop"]), cost["steps"]
-        except (KeyError, ValueError, TypeError) as exc:
+            start, stop, steps = cost["start"], cost["stop"], cost["steps"]
+        except KeyError as exc:
             raise ScenarioError("cost sweep needs numeric 'start', 'stop', 'steps'") from exc
+        if not (_is_number(start) and _is_number(stop)):
+            raise ScenarioError("cost sweep 'start' and 'stop' must be numbers")
         if not start < stop:
             raise ScenarioError("cost sweep requires start < stop")
         if type(steps) is not int or steps < 2:
             raise ScenarioError("cost sweep 'steps' must be an integer of at least 2")
         costs = [float(c) for c in np.linspace(start, stop, steps)]
-    elif isinstance(cost, (int, float)):
+    elif _is_number(cost):
         costs = [float(cost)]
     elif cost is None:
         costs = []
@@ -114,6 +120,8 @@ def load_scenario(path: str) -> Scenario:
     if unknown:
         raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
     options = {k: raw[k] for k in ("dynamics", "bounds") if k in raw}
+    if any(not isinstance(v, dict) for v in options.values()):
+        raise ScenarioError("'dynamics' and 'bounds' must be objects")
     return Scenario(distribution, float(delta), weightings, costs, options)
 
 
@@ -207,6 +215,8 @@ def cmd_bounds(scenario: Scenario) -> tuple[list, list]:
         if not prelecs:
             raise ScenarioError("bounds command needs a prelec weighting or bounds.alpha")
         alpha = prelecs[0].alpha
+    elif not _is_number(alpha):
+        raise ScenarioError("'bounds.alpha' must be a number")
     ctx = PowerLawBoundContext.create(scenario.distribution, scenario.delta)
     report = ratio_sandwich(ctx, float(alpha), scenario.costs)
     header = [
@@ -248,21 +258,34 @@ def cmd_dynamics(scenario: Scenario) -> tuple[list, list]:
     if state_spec is None:
         state = SocialState.all_unprotected(dist)
     else:
+        if not isinstance(state_spec, dict):
+            raise ScenarioError("dynamics 'state' must be an object")
+        threshold, fraction = state_spec.get("threshold"), state_spec.get("fraction")
+        if not (threshold is None or type(threshold) is int) or not (
+            fraction is None or _is_number(fraction)
+        ):
+            raise ScenarioError("dynamics 'state' needs an integer 'threshold' and a number 'fraction'")
         try:
-            state = SocialState.from_threshold(
-                dist, state_spec.get("threshold"), state_spec.get("fraction")
-            )
-        except (KeyError, ValueError, AttributeError) as exc:
+            state = SocialState.from_threshold(dist, threshold, fraction)
+        except (KeyError, ValueError) as exc:
             raise ScenarioError(f"invalid dynamics state: {exc}") from exc
     p0 = opts.get("p0", 0.5)
-    t_end = float(opts.get("t_end", 25.0))
+    t_end = opts.get("t_end", 25.0)
     dt = opts.get("dt")
-    stride = int(opts.get("sample_stride", 1))
-    if t_end <= 0 or (dt is not None and float(dt) <= 0) or stride < 1:
-        raise ScenarioError("dynamics needs t_end > 0, dt > 0 and sample_stride >= 1")
-    traj = integrate_dbmf(params, state, p0, t_end, None if dt is None else float(dt), stride)
+    stride = opts.get("sample_stride", 1)
+    if not (_is_number(p0) or (isinstance(p0, list) and all(_is_number(x) for x in p0))):
+        raise ScenarioError("dynamics 'p0' must be a number or a list of numbers")
+    if not (_is_number(t_end) and t_end > 0):
+        raise ScenarioError("dynamics 't_end' must be a positive number")
+    if dt is not None and not (_is_number(dt) and dt > 0):
+        raise ScenarioError("dynamics 'dt' must be a positive number")
+    if type(stride) is not int or stride < 1:
+        raise ScenarioError("dynamics 'sample_stride' must be an integer of at least 1")
+    traj = integrate_dbmf(params, state, p0, float(t_end), None if dt is None else float(dt), stride)
     header = ["t"] + [f"p_{int(d)}" for d in traj.degrees]
-    rows = [[float(t)] + [float(v) for v in row] for t, row in zip(traj.times, traj.probabilities)]
+    # row by row: one tolist() of the whole table would hold a second set of
+    # row lists (about 5 MB at 6001 x 101) until the last row is built
+    rows = [[t] + row.tolist() for t, row in zip(traj.times.tolist(), traj.probabilities)]
     return header, rows
 
 
@@ -277,8 +300,13 @@ COMMANDS = {
 def _write_csv(path: str, header: list, rows: list):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
+        # one %-format for an all-float row: the same bytes as _fmt on each
+        float_row = ",".join(["%.17g"] * len(header)) + "\n"
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            if all(isinstance(v, float) for v in row):
+                fh.write(float_row % tuple(row))
+            else:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _write_json(path: str, header: list, rows: list):

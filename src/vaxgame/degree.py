@@ -109,11 +109,17 @@ class DegreeDistribution:
     @staticmethod
     def from_json(obj: dict) -> "DegreeDistribution":
         kind = obj.get("type")
+        # type(), not isinstance: JSON true is a bool, which is an int
         if kind == "powerlaw":
-            return power_law(int(obj["d_min"]), int(obj["d_max"]), float(obj["beta"]))
+            d_min, d_max, beta = obj["d_min"], obj["d_max"], obj["beta"]
+            if type(d_min) is not int or type(d_max) is not int or type(beta) not in (int, float):
+                raise TypeError("powerlaw needs integers 'd_min', 'd_max' and a number 'beta'")
+            return power_law(d_min, d_max, float(beta))
         if kind == "explicit":
-            items = sorted((int(k), float(v)) for k, v in obj["mass"].items())
-            return explicit(dict(items))
+            mass = obj["mass"]
+            if not isinstance(mass, dict) or any(type(m) not in (int, float) for m in mass.values()):
+                raise TypeError("explicit 'mass' must map degrees to numbers")
+            return explicit(mass)
         raise ValueError(f"unknown distribution type {kind!r}")
 
     def __repr__(self):

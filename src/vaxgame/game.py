@@ -347,19 +347,20 @@ def verify_pne(spec: GameSpec, state, tol: float = 1e-9) -> PneCertificate:
     social = _as_social_state(spec, state)
     endemic = endemic_state(spec.params, social)
     dist = spec.distribution
-    by_degree = {}
-    worst = 0.0
-    for i, degree in enumerate(dist.degrees):
-        w_p = weight(spec.weighting, float(endemic.p[i]))
-        x_u = float(social.unprotected[i])
-        x_v = float(dist.mass[i]) - x_u
-        viol = 0.0
-        if x_u > 0.0:
-            viol = max(viol, w_p - spec.cost)
-        if x_v > 1e-15:
-            viol = max(viol, spec.cost - w_p)
-        by_degree[int(degree)] = viol
-        worst = max(worst, viol)
+    w_p = weight(spec.weighting, endemic.p)
+    x_u = social.unprotected
+    x_v = dist.mass - x_u
+    # masked-out families read 0, so the slack is never negative
+    viol = np.maximum(
+        np.where(x_u > 0.0, w_p - spec.cost, 0.0),
+        np.where(x_v > 1e-15, spec.cost - w_p, 0.0),
+    )
+    worst = float(viol.max())
+    # slack-free degrees share one 0.0 object; a float each would add about
+    # 120 KB per certificate at d_max = 5000
+    by_degree = dict.fromkeys(dist.degrees.tolist(), 0.0)
+    hit = np.flatnonzero(viol)
+    by_degree.update(zip(dist.degrees[hit].tolist(), viol[hit].tolist()))
     return PneCertificate(worst, worst <= tol, tol, by_degree)
 
 

@@ -226,6 +226,102 @@ class TestErrorExit:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ScenarioError" and key in err["message"]
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("cost", "start"), "0.1", "cost"),  # ran with start 0.1 before
+            (("weightings", 0, "alpha"), "0.5", "alpha"),
+            (("weightings", 0, "alpha"), True, "alpha"),  # ran with alpha = 1 before
+            (("distribution", "mass"), [1.0], "distribution"),  # AttributeError before
+            (("distribution", "mass", "4"), "1.0", "distribution"),
+            (("distribution",), {"type": "powerlaw", "d_min": 1.5, "d_max": 9, "beta": 3.0}, "d_min"),
+            (("distribution",), {"type": "powerlaw", "d_min": 1, "d_max": 9, "beta": "3"}, "beta"),
+        ],
+        ids=[
+            "start-string",
+            "alpha-string",
+            "alpha-true",
+            "mass-list",
+            "mass-string",
+            "d_min-float",
+            "beta-string",
+        ],
+    )
+    def test_mistyped_nested_values_exit_2(self, tmp_path, capsys, path, value, message):
+        obj = k4_scenario()
+        obj["cost"] = {"start": 0.1, "stop": 0.9, "steps": 3}
+        obj["weightings"] = [{"kind": "prelec", "alpha": 0.5}]
+        node = obj
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        scenario = write_scenario(tmp_path, obj)
+        out = tmp_path / "o.csv"
+        rc = main(["solve", "pne", "--scenario", scenario, "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ScenarioError" and message in err["message"]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("p0", "0.5"),
+            ("t_end", "2"),
+            ("dt", "0.5"),
+            ("sample_stride", 2.7),  # ran as stride 2 before
+            ("sample_stride", True),
+            ("state", {"threshold": "4"}),
+            ("state", {"threshold": True}),  # ran as threshold 1 before
+            ("state", {"threshold": 4, "fraction": "0.5"}),
+        ],
+        ids=[
+            "p0-string",
+            "t_end-string",
+            "dt-string",
+            "stride-float",
+            "stride-true",
+            "threshold-string",
+            "threshold-true",
+            "fraction-string",
+        ],
+    )
+    def test_mistyped_dynamics_values_exit_2(self, tmp_path, capsys, key, value):
+        obj = k4_scenario()
+        obj["dynamics"] = {"p0": 0.5, "t_end": 2.0, "dt": 0.5, "sample_stride": 1}
+        obj["dynamics"][key] = value
+        scenario = write_scenario(tmp_path, obj)
+        out = tmp_path / "o.csv"
+        rc = main(["solve", "dynamics", "--scenario", scenario, "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ScenarioError" and key in err["message"]
+
+    def test_option_sections_must_be_objects(self, tmp_path, capsys):
+        obj = k4_scenario()
+        obj["dynamics"] = [{"t_end": 1.0}]
+        scenario = write_scenario(tmp_path, obj)
+        rc = main(["solve", "dynamics", "--scenario", scenario, "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ScenarioError"
+
+    def test_mistyped_bounds_alpha_exits_2(self, tmp_path, capsys):
+        obj = k4_scenario(cost=0.8)
+        obj["distribution"] = {"type": "powerlaw", "d_min": 2, "d_max": 50, "beta": 3.0}
+        obj["bounds"] = {"alpha": "0.5"}  # ran with alpha 0.5 before
+        out = tmp_path / "o.csv"
+        assert main(["solve", "bounds", "--scenario", write_scenario(tmp_path, obj), "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ScenarioError" and "bounds.alpha" in err["message"]
+
+    def test_dynamics_accepts_per_degree_p0(self, tmp_path):
+        obj = k4_scenario()
+        obj["dynamics"] = {"p0": [0.25], "t_end": 1.0, "dt": 0.5}
+        out = tmp_path / "o.csv"
+        scenario = write_scenario(tmp_path, obj)
+        assert main(["solve", "dynamics", "--scenario", scenario, "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert [r[0] for r in rows] == ["0", "0.5", "1"] and rows[0][1] == "0.25"
+
     def test_missing_cost_for_pne(self, tmp_path, capsys):
         obj = k4_scenario()
         del obj["cost"]

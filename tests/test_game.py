@@ -13,6 +13,7 @@ from vaxgame import (
     ThresholdLadder,
     compare_candidates,
     compare_true_vs_weighted,
+    endemic_state,
     explicit,
     identity,
     power_law,
@@ -20,6 +21,7 @@ from vaxgame import (
     solve_pne,
     unprotected_cost,
     verify_pne,
+    weight,
 )
 
 from conftest import brute_force_pne, random_distribution, random_params, states_within_one_step
@@ -235,6 +237,54 @@ class TestVerifyPne:
             if cert.max_violation > 1e-6:
                 found = True
         assert found
+
+    @staticmethod
+    def scalar_certificate(spec, social, tol):
+        """The per-degree certificate loop that the array form replaced."""
+        p = endemic_state(spec.params, social).p
+        by_degree, worst = {}, 0.0
+        for i, degree in enumerate(spec.distribution.degrees):
+            w_p = weight(spec.weighting, float(p[i]))
+            x_u = float(social.unprotected[i])
+            x_v = float(spec.distribution.mass[i]) - x_u
+            viol = 0.0
+            if x_u > 0.0:
+                viol = max(viol, w_p - spec.cost)
+            if x_v > 1e-15:
+                viol = max(viol, spec.cost - w_p)
+            by_degree[int(degree)] = viol
+            worst = max(worst, viol)
+        return worst, worst <= tol, by_degree
+
+    def test_matches_scalar_loop(self):
+        rng = np.random.default_rng(67)
+        for _ in range(40):
+            dist = random_distribution(rng, max_degrees=12, degree_pool=60)
+            params = random_params(rng, dist)
+            w = identity() if rng.random() < 0.25 else prelec(float(rng.uniform(0.05, 1.0)))
+            spec = GameSpec(params, w, float(rng.uniform(0.02, 0.98)))
+            res = solve_pne(spec)
+            t = res.state.threshold
+            # vaccinated mass at rounding level: below the 1e-15 floor, so
+            # the degree still counts as fully unprotected
+            shaved = np.array(res.state.social_state().unprotected)
+            shaved[dist.degrees < t] = np.nextafter(dist.mass[dist.degrees < t], 0.0)
+            states = [
+                res.state.social_state(),
+                SocialState(dist, shaved),
+                SocialState(dist, rng.uniform(0.0, 1.0, dist.size) * dist.mass),
+                CandidateState(dist, t, min(res.state.fraction * 1.1, dist.mass_of(t))).social_state(),
+                SocialState.all_vaccinated(dist),
+                SocialState.all_unprotected(dist),
+            ]
+            for social in states:
+                cert = verify_pne(spec, social, tol=1e-8)
+                worst, passed, by_degree = self.scalar_certificate(spec, social, 1e-8)
+                assert cert.passed == passed
+                assert cert.max_violation == pytest.approx(worst, abs=1e-15)
+                assert list(cert.violations_by_degree) == list(by_degree)
+                for degree, viol in by_degree.items():
+                    assert cert.violations_by_degree[degree] == pytest.approx(viol, abs=1e-15), degree
 
     def test_everyone_vaccinated_violates_by_cost(self):
         spec = k4_spec(cost=0.4)

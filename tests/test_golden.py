@@ -1,9 +1,12 @@
-"""CLI artifacts against golden files captured before the endemic root
-kernel changed from bisection to Newton.
+"""CLI artifacts against golden files.
 
-Integer and label columns must match exactly.  Floats may move by the
-root solver's own error, so they agree within REL 1e-9 / ABS 1e-12, the
-tolerance the bench reference check uses.
+``golden/*.csv`` were captured before the endemic root kernel changed from
+bisection to Newton.  Integer and label columns must match exactly.
+Floats may move by the root solver's own error, so they agree within
+REL 1e-9 / ABS 1e-12, the tolerance the bench reference check uses.
+
+``golden/exact/`` were captured before the certificate and the CSV writer
+were vectorized, which must not move a byte: they are compared whole.
 """
 
 import csv
@@ -16,6 +19,7 @@ from vaxgame.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = sorted((ROOT / "tests" / "golden").glob("*.csv"))
+EXACT = sorted((ROOT / "tests" / "golden" / "exact").iterdir())
 EXACT_COLUMNS = {"threshold", "opt_threshold", "d_t", "d_w", "uninformative", "alpha"}
 REL_TOL, ABS_TOL = 1e-9, 1e-12
 
@@ -50,3 +54,22 @@ def test_cli_matches_golden(golden, tmp_path):
                     got,
                     expected,
                 )
+
+
+def test_exact_set_complete():
+    assert [p.name for p in EXACT] == [
+        "dynamics_d100_dynamics.csv",
+        "dynamics_d100_dynamics.json",
+        "powerlaw_d100_pne.csv",
+    ]
+
+
+@pytest.mark.parametrize("golden", EXACT, ids=[p.name for p in EXACT])
+def test_cli_bytes_match_golden(golden, tmp_path):
+    scenario, command = golden.stem.rsplit("_", 1)
+    out = tmp_path / golden.name
+    scenario_path = str(ROOT / "scenarios" / f"{scenario}.json")
+    fmt = golden.suffix[1:]
+    rc = main(["solve", command, "--scenario", scenario_path, "--out", str(out), "--format", fmt])
+    assert rc == 0
+    assert out.read_bytes() == golden.read_bytes()
