@@ -125,7 +125,8 @@ def threshold_upper_bound(ctx: PowerLawBoundContext, weighting: WeightingSpec, c
         raise ValueError("vaccination cost must lie in (0, 1)")
     u = weight_inverse(weighting, cost)
     d0 = ctx.d0
-    raw = 1.0 + d0 + d0 * (ctx.b1 - 1.0) / (1.0 - u)
+    # w^{-1}(c) can round to 1, where the cap is vacuous
+    raw = 1.0 + d0 + d0 * (ctx.b1 - 1.0) / (1.0 - u) if u < 1.0 else math.inf
     return min(float(ctx.distribution.d_max), raw)
 
 
@@ -171,7 +172,8 @@ def ratio_sandwich(ctx: PowerLawBoundContext, alpha: float, costs) -> RatioSandw
     For exponent-3 networks with minimum degree above 1, both equilibrium
     thresholds must lie in their sandwich, and their ratio tracks
     (1-c)/(1-w^{-1}(c)).  Points where a sandwich or a threshold clips at
-    the maximum degree are flagged uninformative rather than failed.
+    the maximum degree are flagged uninformative rather than failed; so are
+    points where w^{-1}(c) rounds to 1, whose weighted bounds are infinite.
     """
     _require_beta3_d0(ctx)
     params = ctx.params
@@ -191,8 +193,13 @@ def ratio_sandwich(ctx: PowerLawBoundContext, alpha: float, costs) -> RatioSandw
         u = weight_inverse(w_spec, float(c))
         t_lo = (d0 - 1) * span / (1.0 - c) + d0 - 1
         t_hi = d0 * span / (1.0 - c) + d0 + 1
-        w_lo = (d0 - 1) * span / (1.0 - u) + d0 - 1
-        w_hi = d0 * span / (1.0 - u) + d0 + 1
+        if u < 1.0:
+            w_lo = (d0 - 1) * span / (1.0 - u) + d0 - 1
+            w_hi = d0 * span / (1.0 - u) + d0 + 1
+            theta = (1.0 - c) / (1.0 - u)
+        else:
+            # w^{-1}(c) rounded to 1: the weighted sandwich is unbounded
+            w_lo = w_hi = theta = math.inf
         clipped = (
             d_t == d_max or d_w == d_max or t_hi >= d_max or w_hi >= d_max
         )
@@ -208,7 +215,7 @@ def ratio_sandwich(ctx: PowerLawBoundContext, alpha: float, costs) -> RatioSandw
                 true_within=t_lo <= d_t <= t_hi,
                 weighted_within=w_lo <= d_w <= w_hi,
                 ratio=d_w / d_t,
-                theta_proxy=(1.0 - c) / (1.0 - u),
+                theta_proxy=theta,
                 uninformative=clipped,
             )
         )

@@ -63,6 +63,21 @@ def _is_number(value) -> bool:
     return type(value) in (int, float)
 
 
+# Keys each option object accepts; "dynamics.state" is the object under
+# dynamics["state"].
+OPTION_KEYS = {
+    "dynamics": {"p0", "t_end", "dt", "sample_stride", "state"},
+    "dynamics.state": {"threshold", "fraction"},
+    "bounds": {"alpha"},
+}
+
+
+def _reject_unknown_keys(name: str, obj: dict):
+    unknown = set(obj) - OPTION_KEYS[name]
+    if unknown:
+        raise ScenarioError(f"unknown '{name}' keys: {sorted(unknown)}")
+
+
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -122,6 +137,11 @@ def load_scenario(path: str) -> Scenario:
     options = {k: raw[k] for k in ("dynamics", "bounds") if k in raw}
     if any(not isinstance(v, dict) for v in options.values()):
         raise ScenarioError("'dynamics' and 'bounds' must be objects")
+    for name, obj in options.items():
+        _reject_unknown_keys(name, obj)
+    state = options.get("dynamics", {}).get("state")
+    if isinstance(state, dict):
+        _reject_unknown_keys("dynamics.state", state)
     return Scenario(distribution, float(delta), weightings, costs, options)
 
 

@@ -4,15 +4,16 @@ Unprotected nodes pay their perceived steady-state infection probability,
 vaccinated nodes pay the flat cost c in (0, 1).  Every pure Nash
 equilibrium is threshold-structured (all degrees below a threshold stay
 unprotected, all above vaccinate, the threshold degree possibly split),
-and the family of such candidate states is totally ordered.  The solver
-walks that one-dimensional family: the equilibrium condition reduces to
-placing K = delta*u/(1-u), u = w^{-1}(c), in a ladder of windows built
-from the endemic probabilities of full-threshold states, which is exact
-and certifiable rather than a fixed-point iteration.
+and the family of such candidate states is totally ordered.  The
+equilibrium condition reduces to placing K = delta*u/(1-u), u = w^{-1}(c),
+in a ladder of windows built from the endemic probabilities of
+full-threshold states.  The windows are ordered, so the solver bisects for
+the one holding K: exact and certifiable, not a fixed-point iteration.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -124,9 +125,8 @@ class ThresholdLadder:
     once.  Concurrent fills are safe: entries are written idempotently.
     """
 
-    def __init__(self, params: EpidemicParams, tol: float = 1e-12):
+    def __init__(self, params: EpidemicParams):
         self.params = params
-        self.tol = tol
         self._v = {}
 
     def v_at(self, index: int) -> float:
@@ -135,7 +135,7 @@ class ThresholdLadder:
         if v is None:
             dist = self.params.distribution
             state = SocialState.from_threshold(dist, int(dist.degrees[index]))
-            v = endemic_state(self.params, state, tol=self.tol).v
+            v = endemic_state(self.params, state).v
             self._v[index] = v
         return v
 
@@ -235,14 +235,17 @@ def _result_from_candidate(
 def solve_pne(spec: GameSpec, ladder: ThresholdLadder | None = None, audit: bool = False) -> EquilibriumResult:
     """Compute the unique pure Nash equilibrium of the vaccination game.
 
-    Walks thresholds in ascending degree order.  With v_t the endemic
-    probability of the full-threshold state at degree t and K the
-    indifference level delta*u/(1-u), the positive axis splits into
-    interior windows (t*v_{t-}, t*v_t), where the equilibrium fraction is
-    interior and v* = K/t, and boundary windows [t*v_t, succ(t)*v_t],
+    With v_t the endemic probability of the full-threshold state at degree
+    t and K the indifference level delta*u/(1-u), the positive axis splits
+    into interior windows (t*v_{t-}, t*v_t), where the equilibrium fraction
+    is interior and v* = K/t, and boundary windows [t*v_t, succ(t)*v_t],
     where the full-threshold state itself is the equilibrium.  The windows
-    tile the axis, so exactly one case fires; ``audit=True`` additionally
-    counts exact membership over every window.
+    tile the axis in degree order, with tops succ(t)*v_t growing in t past
+    the subcritical rungs (v_t = 0), so a bisection finds the first rung
+    whose top reaches K and solves only the rungs it probes.  The last
+    window is unbounded: with every rung subcritical, nobody vaccinates.
+    ``audit=True`` additionally walks every window and counts those
+    containing K.
 
     Parameters
     ----------
@@ -255,50 +258,47 @@ def solve_pne(spec: GameSpec, ladder: ThresholdLadder | None = None, audit: bool
     ladder = matching_ladder(spec.params, ladder)
 
     u = weight_inverse(spec.weighting, spec.cost)
-    K = spec.params.delta * u / (1.0 - u)
+    # w^{-1}(c) can round to 1; K then lies past every finite window edge
+    K = spec.params.delta * u / (1.0 - u) if u < 1.0 else math.inf
     dist = spec.distribution
     degrees = dist.degrees
     n = degrees.size
 
-    chosen = None
-    for j in range(n):
-        t = float(degrees[j])
-        v_t = ladder.v_at(j)
-        if v_t == 0.0:
-            # subcritical full-threshold state: zero-width window, and a
-            # boundary state with vaccinated mass but zero infection risk
-            # can never be an equilibrium
-            continue
-        lower = t * v_t
-        upper = float(degrees[j + 1]) * v_t if j + 1 < n else math.inf
-        if K < lower - WINDOW_SLACK:
-            # interior at t; the previous window's upper edge guarantees
-            # K/t exceeds the previous full-threshold v
-            v_star = K / t
-            f = _interior_fraction(spec, j, v_star)
-            m_t = float(dist.mass[j])
-            if not (0.0 < f < m_t + 1e-12):
-                raise RuntimeError(
-                    f"interior fraction {f!r} outside (0, {m_t!r}) at threshold {t:g}; "
-                    "solver tolerance breach"
-                )
-            cand = CandidateState(dist, int(t), min(f, m_t))
-            window = (t * v_star, float(degrees[j + 1]) * v_star if j + 1 < n else math.inf)
-            chosen = (cand, v_star, window, True, False, j)
-            break
-        if K <= upper + WINDOW_SLACK:
-            cand = CandidateState(dist, int(t))
-            tie = abs(K - lower) <= WINDOW_SLACK or (
-                math.isfinite(upper) and abs(K - upper) <= WINDOW_SLACK
-            )
-            chosen = (cand, v_t, (lower, upper), False, tie, j)
-            break
-    if chosen is None:  # unreachable: the last window extends to infinity
-        raise RuntimeError("threshold scan exhausted without firing a case")
+    def reaches_k(j: int) -> bool:
+        # K at or below rung j's window top; subcritical windows are empty
+        if j + 1 == n:
+            return True
+        v_j = ladder.v_at(j)
+        return v_j > 0.0 and K <= float(degrees[j + 1]) * v_j + WINDOW_SLACK
 
-    fired = None
+    j = bisect.bisect_left(range(n), True, key=reaches_k)
+    t = float(degrees[j])
+    v_t = ladder.v_at(j)
+    lower = t * v_t
+    upper = float(degrees[j + 1]) * v_t if j + 1 < n else math.inf
+    if K < lower - WINDOW_SLACK:
+        # interior at t; the previous window's upper edge guarantees K/t
+        # exceeds the previous full-threshold v
+        v = K / t
+        f = _interior_fraction(spec, j, v)
+        m_t = float(dist.mass[j])
+        if not (0.0 < f < m_t + 1e-12):
+            raise RuntimeError(
+                f"interior fraction {f!r} outside (0, {m_t!r}) at threshold {t:g}; "
+                "solver tolerance breach"
+            )
+        cand = CandidateState(dist, int(t), min(f, m_t))
+        window = (t * v, float(degrees[j + 1]) * v if j + 1 < n else math.inf)
+        interior, tie = True, False
+    else:
+        cand = CandidateState(dist, int(t))
+        v, window, interior = v_t, (lower, upper), False
+        tie = abs(K - lower) <= WINDOW_SLACK or (
+            math.isfinite(upper) and abs(K - upper) <= WINDOW_SLACK
+        )
+
+    fired = 0 if audit else None
     if audit:
-        fired = 0
         prev_upper = 0.0
         for j in range(n):
             t = float(degrees[j])
@@ -313,7 +313,6 @@ def solve_pne(spec: GameSpec, ladder: ThresholdLadder | None = None, audit: bool
                 fired += 1
             prev_upper = upper
 
-    cand, v, window, interior, tie, _ = chosen
     return _result_from_candidate(spec, cand, v, K, window, interior, tie, fired)
 
 

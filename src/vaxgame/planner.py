@@ -54,6 +54,9 @@ __all__ = [
 # so rounding in a floor or in a refined cost never prunes the optimum.
 PRUNE_MARGIN = 1e-10
 
+# Random non-candidate states drawn by the planner's sanity check.
+SANITY_STATES = 50
+
 
 @dataclass(frozen=True)
 class SocialCostBreakdown:
@@ -180,7 +183,7 @@ class SocialOptimumSolver:
         hi = f_grid[min(k + 1, f_grid.size - 1)]
         return _golden_min(lambda f: self._psi(j, f, cost), float(lo), float(hi), self.refine_width)
 
-    def solve(self, cost: float, sanity_states: int = 50):
+    def solve(self, cost: float):
         """Minimize the social cost over the candidate family.
 
         Returns ``(CandidateState, SocialCostBreakdown)``; the state has
@@ -217,18 +220,15 @@ class SocialOptimumSolver:
             state = CandidateState(dist, int(dist.degrees[j]), f)
         breakdown = social_cost(self.params, cost, state.social_state())
 
-        if sanity_states:
-            rng = np.random.default_rng(0)
-            random_states = rng.uniform(size=(sanity_states, dist.size)) * dist.mass
-            p = _probabilities(self.params, batch_endemic_v(self.params, random_states))
-            psi_rand = np.sum(random_states * p, axis=1) + cost * (
-                1.0 - random_states.sum(axis=1)
+        rng = np.random.default_rng(0)
+        random_states = rng.uniform(size=(SANITY_STATES, dist.size)) * dist.mass
+        p = _probabilities(self.params, batch_endemic_v(self.params, random_states))
+        psi_rand = np.sum(random_states * p, axis=1) + cost * (1.0 - random_states.sum(axis=1))
+        if np.min(psi_rand) < breakdown.total - 1e-9:
+            raise RuntimeError(
+                "a non-candidate state beat the candidate-family optimum; "
+                "threshold restriction violated"
             )
-            if np.min(psi_rand) < breakdown.total - 1e-9:
-                raise RuntimeError(
-                    "a non-candidate state beat the candidate-family optimum; "
-                    "threshold restriction violated"
-                )
         return state, breakdown
 
 

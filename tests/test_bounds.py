@@ -120,6 +120,11 @@ class TestThresholdUpperBound:
         ctx = sweep_ctx()
         assert threshold_upper_bound(ctx, identity(), 0.95) == 100.0
 
+    def test_inverse_weight_rounding_to_one_caps_at_maximum_degree(self):
+        ctx = PowerLawBoundContext.create(power_law(2, 500, 3.0), 2.0)
+        # w^{-1}(0.9) rounds to 1.0 under prelec 0.05
+        assert threshold_upper_bound(ctx, prelec(0.05), 0.9) == 500.0
+
     def test_full_cost_grid_identity_and_prelec(self):
         ctx = sweep_ctx()
         params = EpidemicParams(2.0, ctx.distribution)

@@ -313,6 +313,27 @@ class TestErrorExit:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ScenarioError" and "bounds.alpha" in err["message"]
 
+    @pytest.mark.parametrize(
+        "section, value, key",
+        [
+            # ran to the default t_end = 25 before
+            ("dynamics", {"t_nd": 1.0, "dt": 0.5, "sample_stride": 10}, "t_nd"),
+            ("dynamics", {"t_end": 1.0, "dt": 0.5, "state": {"threshold": 4, "frac": 0.5}}, "frac"),
+            ("bounds", {"alpha": 0.5, "alhpa": 0.7}, "alhpa"),
+        ],
+        ids=["dynamics", "dynamics-state", "bounds"],
+    )
+    def test_unknown_option_keys_exit_2(self, tmp_path, capsys, section, value, key):
+        obj = k4_scenario(cost=0.8)
+        obj["distribution"] = {"type": "powerlaw", "d_min": 1, "d_max": 10, "beta": 3.0}
+        obj[section] = value
+        out = tmp_path / "o.csv"
+        what = "bounds" if section == "bounds" else "dynamics"
+        assert main(["solve", what, "--scenario", write_scenario(tmp_path, obj), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ScenarioError" and key in err["message"]
+
     def test_dynamics_accepts_per_degree_p0(self, tmp_path):
         obj = k4_scenario()
         obj["dynamics"] = {"p0": [0.25], "t_end": 1.0, "dt": 0.5}
@@ -321,6 +342,37 @@ class TestErrorExit:
         assert main(["solve", "dynamics", "--scenario", scenario, "--out", str(out)]) == 0
         _, rows = read_rows(out)
         assert [r[0] for r in rows] == ["0", "0.5", "1"] and rows[0][1] == "0.25"
+
+    @pytest.mark.parametrize("what", ["pne", "opt"])
+    def test_inverse_weight_rounding_to_one(self, tmp_path, what):
+        # w^{-1}(0.9) under prelec 0.05 rounds to 1.0; K = delta*u/(1-u)
+        # divided by zero before
+        obj = {
+            "distribution": {"type": "powerlaw", "d_min": 1, "d_max": 100, "beta": 3.0},
+            "delta": 2.0,
+            "weightings": [{"kind": "prelec", "alpha": 0.05}],
+            "cost": 0.9,
+        }
+        out = tmp_path / "o.csv"
+        assert main(["solve", what, "--scenario", write_scenario(tmp_path, obj), "--out", str(out)]) == 0
+        header, rows = read_rows(out)
+        if what == "pne":
+            # cmd_pne raises unless the certificate passes
+            assert rows[0][header.index("threshold")] == "100"
+
+    def test_bounds_with_inverse_weight_rounding_to_one(self, tmp_path):
+        obj = {
+            "distribution": {"type": "powerlaw", "d_min": 2, "d_max": 500, "beta": 3.0},
+            "delta": 2.0,
+            "cost": {"start": 0.8, "stop": 0.95, "steps": 4},
+            "bounds": {"alpha": 0.05},
+        }
+        out = tmp_path / "o.csv"
+        assert main(["solve", "bounds", "--scenario", write_scenario(tmp_path, obj), "--out", str(out)]) == 0
+        header, rows = read_rows(out)
+        # every point clips: the weighted threshold sits at d_max
+        assert all(r[header.index("uninformative")] == "1" for r in rows)
+        assert rows[-1][header.index("upper_w")] == "inf"
 
     def test_missing_cost_for_pne(self, tmp_path, capsys):
         obj = k4_scenario()

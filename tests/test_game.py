@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vaxgame import (
     CandidateState,
@@ -22,11 +24,57 @@ from vaxgame import (
     unprotected_cost,
     verify_pne,
     weight,
+    weight_inverse,
 )
+from vaxgame.degree import DegreeDistribution
+from vaxgame.game import WINDOW_SLACK, _interior_fraction
 
 from conftest import brute_force_pne, random_distribution, random_params, states_within_one_step
 
 PRELEC_05_AT_05 = 0.4349367715757099  # exp(-(ln 2)^0.5), 40-digit reference
+
+
+def walk_pne(spec, ladder):
+    """Reference placement: walk the ladder's windows rung by rung.
+
+    Returns (threshold, fraction, v, window, tie) of the first window
+    holding K, which the solver's bisection must reproduce bit for bit.
+    """
+    u = weight_inverse(spec.weighting, spec.cost)
+    K = spec.params.delta * u / (1.0 - u) if u < 1.0 else math.inf
+    dist = spec.distribution
+    degrees = dist.degrees
+    n = degrees.size
+    for j in range(n):
+        t = float(degrees[j])
+        v_t = ladder.v_at(j)
+        if v_t == 0.0 and j + 1 < n:
+            continue
+        lower = t * v_t
+        upper = float(degrees[j + 1]) * v_t if j + 1 < n else math.inf
+        if K < lower - WINDOW_SLACK:
+            v_star = K / t
+            f = min(_interior_fraction(spec, j, v_star), float(dist.mass[j]))
+            top = float(degrees[j + 1]) * v_star if j + 1 < n else math.inf
+            return int(t), f, v_star, (t * v_star, top), False
+        if K <= upper + WINDOW_SLACK:
+            tie = abs(K - lower) <= WINDOW_SLACK or (
+                math.isfinite(upper) and abs(K - upper) <= WINDOW_SLACK
+            )
+            return int(t), float(dist.mass[j]), v_t, (lower, upper), tie
+    raise AssertionError("the last window is unbounded")
+
+
+class CountingLadder(ThresholdLadder):
+    """Ladder that records which rungs were asked for."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.asked = set()
+
+    def v_at(self, index):
+        self.asked.add(index)
+        return super().v_at(index)
 
 
 def k4_spec(cost=1.0 / 3.0, weighting=None):
@@ -196,6 +244,79 @@ class TestSolvePne:
         assert res.interior
         assert res.degenerate_near_critical
         assert 0.0 < res.state.fraction < dist.mass_of(res.state.threshold)
+
+    @pytest.mark.parametrize("eps", [1e-12, 5e-13, 1e-13])
+    def test_curing_rate_at_criticality_leaves_everyone_unprotected(self, eps):
+        # every rung is subcritical (v = 0); only the unbounded last window
+        # holds K, and its state has nothing vaccinated, so nobody is at risk
+        dist = power_law(1, 50, 3.0)
+        params = EpidemicParams((1.0 - eps) * dist.second_moment / dist.mean_degree, dist)
+        spec = GameSpec(params, identity(), 0.3)
+        res = solve_pne(spec, audit=True)
+        assert res.state.threshold == 50
+        assert res.state.fraction == dist.mass_of(50)
+        assert res.v == 0.0
+        assert res.audit_fired_cases == 1
+        assert res.degenerate_near_critical
+        assert verify_pne(spec, res).passed
+
+    def test_inverse_weight_rounding_to_one_leaves_everyone_unprotected(self):
+        dist = power_law(1, 100, 3.0)
+        spec = GameSpec(EpidemicParams(2.0, dist), prelec(0.05), 0.9)
+        assert weight_inverse(spec.weighting, spec.cost) == 1.0
+        res = solve_pne(spec, audit=True)
+        assert math.isinf(res.K)
+        assert res.state.threshold == 100
+        assert res.state.fraction == dist.mass_of(100)
+        assert res.audit_fired_cases == 1
+        assert verify_pne(spec, res, tol=1e-8).passed
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        degrees=st.lists(st.integers(1, 60), min_size=2, max_size=12, unique=True),
+        data=st.data(),
+        delta_ratio=st.floats(0.01, 0.9999),
+        cost=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        alpha=st.one_of(st.none(), st.floats(0.05, 1.0)),
+        place=st.one_of(st.none(), st.tuples(st.integers(0, 10), st.floats(0.0, 1.0))),
+    )
+    def test_bisection_matches_window_walk(self, degrees, data, delta_ratio, cost, alpha, place):
+        n = len(degrees)
+        mass = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+        dist = DegreeDistribution(sorted(degrees), mass / mass.sum())
+        params = EpidemicParams(delta_ratio * dist.second_moment / dist.mean_degree, dist)
+        w = identity() if alpha is None else prelec(alpha)
+        ladder = ThresholdLadder(params)
+        if place is not None:
+            # a cost whose K falls in a bounded boundary window, up to
+            # rounding at its edges; uniform costs rarely land in one
+            j, s = place[0] % (n - 1), place[1]
+            v_j = ladder.v_at(j)
+            K = (dist.degrees[j] + s * (dist.degrees[j + 1] - dist.degrees[j])) * v_j
+            placed = float(weight(w, K / (params.delta + K)))
+            if 0.0 < placed < 1.0:
+                cost = placed
+        spec = GameSpec(params, w, cost)
+        res = solve_pne(spec, ladder=ladder, audit=True)
+        got = (res.state.threshold, res.state.fraction, res.v, res.window, res.degenerate_window_tie)
+        assert got == walk_pne(spec, ladder)
+
+    def test_exponent_three_sweep_at_large_d_max(self):
+        dist = power_law(2, 10_000, 3.0)
+        params = EpidemicParams(2.0, dist)
+        ladder = CountingLadder(params)
+        costs = np.linspace(0.05, 0.95, 19)
+        for w in (identity(), prelec(0.75), prelec(0.5)):
+            prev = 0
+            for c in costs:
+                spec = GameSpec(params, w, float(c))
+                res = solve_pne(spec, ladder=ladder)
+                assert verify_pne(spec, res, tol=1e-8).passed, (w.label, c)
+                assert res.state.threshold >= prev, (w.label, c)
+                prev = res.state.threshold
+        # bisection probes a few rungs per solve; a walk up to each
+        # threshold would ask for every rung below the largest one
+        assert len(ladder.asked) < 200
 
     def test_matches_brute_force_small_sets(self):
         rng = np.random.default_rng(41)
