@@ -295,10 +295,10 @@ def cmd_dynamics(scenario: Scenario) -> tuple[list, list]:
     stride = opts.get("sample_stride", 1)
     if not (_is_number(p0) or (isinstance(p0, list) and all(_is_number(x) for x in p0))):
         raise ScenarioError("dynamics 'p0' must be a number or a list of numbers")
-    if not (_is_number(t_end) and t_end > 0):
-        raise ScenarioError("dynamics 't_end' must be a positive number")
-    if dt is not None and not (_is_number(dt) and dt > 0):
-        raise ScenarioError("dynamics 'dt' must be a positive number")
+    if not (_is_number(t_end) and 0 < t_end < np.inf):
+        raise ScenarioError("dynamics 't_end' must be a positive finite number")
+    if dt is not None and not (_is_number(dt) and 0 < dt < np.inf):
+        raise ScenarioError("dynamics 'dt' must be a positive finite number")
     if type(stride) is not int or stride < 1:
         raise ScenarioError("dynamics 'sample_stride' must be an integer of at least 1")
     traj = integrate_dbmf(params, state, p0, float(t_end), None if dt is None else float(dt), stride)

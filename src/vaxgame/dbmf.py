@@ -303,10 +303,18 @@ def _require_unit_interval(p: np.ndarray, t: float):
         raise IntegrationError(f"iterate left [0, 1] at t={t:g}; reduce dt")
 
 
+def _require_finite_positive(**values):
+    """Raise ValueError naming the first keyword argument not finite and positive."""
+    for name, value in values.items():
+        if not (value > 0 and np.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite")
+
+
 def _initial_probabilities(params: EpidemicParams, p0) -> np.ndarray:
     p = np.broadcast_to(np.asarray(p0, dtype=np.float64), (params.distribution.size,)).copy()
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise ValueError("initial probabilities must lie in [0, 1]")
+    # one "inside" test, so a NaN, which compares false both ways, fails it
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValueError("initial probabilities p0 must lie in [0, 1]")
     return p
 
 
@@ -325,12 +333,9 @@ def integrate_dbmf(
     [0, 1] beyond roundoff, or not finite, raise :class:`IntegrationError`.
     """
     _require_same_support(params, state)
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
     if dt is None:
         dt = 0.01 / params.delta
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _require_finite_positive(t_end=t_end, dt=dt)
     if sample_stride < 1:
         raise ValueError("sample_stride must be at least 1")
     p = _initial_probabilities(params, p0)
@@ -363,15 +368,21 @@ def settle_dbmf(
     """Run the ODE until successive unit-time samples differ by < tol.
 
     The default step is scaled to the ODE's stiffness,
-    ``dt = 0.5/(delta + d_max*s)`` with ``s = sum(q_hat) <= 1`` the
+    ``dt = 1.5/(delta + d_max*s)`` with ``s = sum(q_hat) <= 1`` the
     unprotected share of edge ends.  The Jacobian
     ``-diag(delta + d*v) + ((1-p)*d) q_hat^T`` is similar, by a diagonal
     scaling, to a symmetric matrix, so its eigenvalues are real; they lie
     in ``[-(delta + d_max*s), d_max*s]`` because ``v <= s`` and
-    ``sum d^2 x/<d> <= d_max*s``.  Hence ``dt*|lambda| < 1``, well inside
-    RK4's real stability interval (about 2.78), and since a fixed point
-    of the RK4 map is a fixed point of the ODE, the settled state does not
-    depend on the step beyond ``tol``.
+    ``sum d^2 x/<d> <= d_max*s``.  Hence ``z = dt*lambda >= -1.5``.  On
+    ``[-1.596, 0]`` RK4's stability polynomial
+    ``1 + z + z^2/2 + z^3/6 + z^4/24`` is positive and increasing, so a
+    faster mode is damped at least as much as a slower one and no mode
+    changes sign.  Past that turning point a fast mode can outlive the
+    slow one; the fast modes (the ``-delta`` eigenvectors orthogonal to
+    ``q_hat``) have mixed signs, so p goes negative, as seen on
+    delta-dominated decaying states from about ``dt = 2.06/(delta +
+    d_max*s)`` up.  A fixed point of the RK4 map is a fixed point of the
+    ODE, so the settled state does not depend on the step beyond ``tol``.
 
     Returns the settled per-degree probabilities.  Raises
     :class:`IntegrationError` as soon as a unit-time sample is not finite
@@ -382,20 +393,16 @@ def settle_dbmf(
     _require_same_support(params, state)
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if not t_max > 0:
-        raise ValueError("t_max must be positive")
     d = params.distribution.degrees.astype(np.float64)
     q_hat = state.neighbor_weights()
     delta = params.delta
     if dt is None:
-        dt = 0.5 / (delta + params.distribution.d_max * q_hat.sum())
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+        dt = 1.5 / (delta + params.distribution.d_max * q_hat.sum())
+    _require_finite_positive(dt=dt, t_max=t_max)
     p = _initial_probabilities(params, p0)
 
     chunk_steps = max(1, int(round(1.0 / dt)))
     elapsed = 0.0
-    prev = p.copy()
     while elapsed < t_max:
         prev = p.copy()
         for _ in range(chunk_steps):

@@ -7,6 +7,7 @@ from vaxgame import (
     EpidemicParams,
     GameSpec,
     batch_endemic_v,
+    dbmf,
 )
 
 
@@ -24,6 +25,25 @@ def random_params(rng, dist, lo=0.25, hi=0.85):
     which keeps the vaccination game nondegenerate."""
     ratio = dist.second_moment / dist.mean_degree
     return EpidemicParams(float(rng.uniform(lo, hi) * ratio), dist)
+
+
+def count_rk4_steps(monkeypatch):
+    """Count RK4 steps from here on; returns a callable giving the count.
+
+    Wraps ``vaxgame.dbmf._ode_rhs``, which the integrators look up as a
+    module global once per stage, four stages a step: the same seam
+    ``bench/tracing.py`` counts right-hand-side evaluations through.
+    """
+    rhs = dbmf._ode_rhs
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return rhs(*args)
+
+    monkeypatch.setattr(dbmf, "_ode_rhs", counted)
+    return lambda: calls // 4
 
 
 def weight_array(spec, probs):

@@ -267,7 +267,9 @@ class TestErrorExit:
         [
             ("p0", "0.5"),
             ("t_end", "2"),
+            ("t_end", float("inf")),  # JSON Infinity; OverflowError before
             ("dt", "0.5"),
+            ("dt", float("inf")),
             ("sample_stride", 2.7),  # ran as stride 2 before
             ("sample_stride", True),
             ("state", {"threshold": "4"}),
@@ -277,7 +279,9 @@ class TestErrorExit:
         ids=[
             "p0-string",
             "t_end-string",
+            "t_end-inf",
             "dt-string",
+            "dt-inf",
             "stride-float",
             "stride-true",
             "threshold-string",
@@ -295,6 +299,19 @@ class TestErrorExit:
         assert rc == 2 and not out.exists()
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ScenarioError" and key in err["message"]
+
+    def test_nan_p0_is_named(self, tmp_path, capsys):
+        # JSON NaN passed two "outside [0, 1]" tests and failed later as an
+        # unstable step, with advice to reduce dt
+        obj = k4_scenario()
+        obj["dynamics"] = {"p0": float("nan"), "t_end": 2.0, "dt": 0.5}
+        scenario = write_scenario(tmp_path, obj)
+        out = tmp_path / "o.csv"
+        rc = main(["solve", "dynamics", "--scenario", scenario, "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "p0" in err["message"] and "dt" not in err["message"]
 
     def test_option_sections_must_be_objects(self, tmp_path, capsys):
         obj = k4_scenario()

@@ -26,7 +26,7 @@ from vaxgame import (
 from vaxgame import dbmf
 from vaxgame.dbmf import NEAR_CRITICAL_R, EndemicState
 
-from conftest import bisect_endemic_v, random_distribution, random_params
+from conftest import bisect_endemic_v, count_rk4_steps, random_distribution, random_params
 
 
 def single_degree_params(k=4, delta=2.0):
@@ -353,15 +353,24 @@ class TestDynamics:
             integrate_dbmf(params, state, 0.5, -1.0)
         with pytest.raises(ValueError):
             integrate_dbmf(params, state, 0.5, 1.0, dt=0.0)
+        with pytest.raises(ValueError):
+            integrate_dbmf(params, state, 0.5, np.inf)
+        with pytest.raises(ValueError):
+            integrate_dbmf(params, state, 0.5, 1.0, dt=np.inf)
+        with pytest.raises(ValueError, match="p0"):
+            integrate_dbmf(params, state, np.nan, 1.0)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"dt": 0.0},
             {"dt": -0.01},
+            {"dt": np.inf},
             {"p0": 1.5},
+            {"p0": np.nan},
             {"t_max": 0.0},
             {"t_max": -1.0},
+            {"t_max": np.inf},
             {"tol": 0.0},
             {"tol": -1e-10},
         ],
@@ -382,13 +391,31 @@ class TestDynamics:
             fine = settle_dbmf(params, state, p0=0.5, dt=0.01 / params.delta)
             np.testing.assert_allclose(settle_dbmf(params, state, p0=0.5), fine, rtol=0, atol=1e-9)
 
-    def test_stiff_power_law_settles(self):
+    def test_stiff_power_law_settles(self, monkeypatch):
         # d_max * v is large here; a 0.01/delta step overflows
         dist = power_law(1, 300, 3.0)
         params = EpidemicParams(0.5, dist)
         state = SocialState.all_unprotected(dist)
+        rk4_steps = count_rk4_steps(monkeypatch)
         p = settle_dbmf(params, state)
         np.testing.assert_allclose(p, endemic_state(params, state).p, rtol=0, atol=1e-6)
+        # a step budget, not a wall-clock bound: 25 unit-time chunks of 200 steps
+        assert rk4_steps() <= 5_100
+
+    def test_default_step_within_monotone_interval(self):
+        # a delta-dominated decaying state (R about 0.043): the -delta modes
+        # orthogonal to q_hat have mixed signs and decay fastest
+        dist = DegreeDistribution([2, 11, 21, 25], [0.396, 0.403, 0.070, 0.131])
+        params = EpidemicParams(22.3, dist)
+        state = SocialState(dist, np.array([0.47, 0.02, 0.12, 0.05]) * dist.mass)
+        assert reproduction(params, state) < 0.05
+        assert np.max(settle_dbmf(params, state, p0=1.0)) < 1e-6
+        # 2.1/(delta + d_max*s) puts z = dt*lambda past -1.596, the turning
+        # point of RK4's stability polynomial, so the fast modes outlive the
+        # slow one and drive p below zero
+        dt = 2.1 / (params.delta + dist.d_max * state.neighbor_weights().sum())
+        with pytest.raises(IntegrationError):
+            settle_dbmf(params, state, p0=1.0, dt=dt)
 
     def test_unstable_step_fails_fast(self):
         # the same instance with the unscaled 0.01/delta step is unstable:
@@ -418,8 +445,9 @@ class TestDynamics:
         degrees=st.lists(st.integers(1, 30), min_size=2, max_size=6, unique=True),
         data=st.data(),
         delta_ratio=st.floats(0.2, 1.5),
+        p0=st.floats(0.05, 1.0),
     )
-    def test_settle_matches_fixed_point_property(self, degrees, data, delta_ratio):
+    def test_settle_matches_fixed_point_property(self, degrees, data, delta_ratio, p0):
         n = len(degrees)
         mass = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
         dist = DegreeDistribution(sorted(degrees), mass / mass.sum())
@@ -429,7 +457,7 @@ class TestDynamics:
         r = reproduction(params, state)
         # the approach to the fixed point slows to a crawl at R = 1
         assume(abs(r - 1.0) >= 0.1)
-        p = settle_dbmf(params, state, p0=0.5)
+        p = settle_dbmf(params, state, p0=p0)
         np.testing.assert_allclose(p, endemic_state(params, state).p, rtol=0, atol=1e-6)
 
 
