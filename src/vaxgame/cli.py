@@ -89,20 +89,22 @@ def load_scenario(path: str) -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")
 
+    if not isinstance(raw.get("distribution"), dict):
+        raise ScenarioError("scenario needs a 'distribution' object")
     try:
         distribution = DegreeDistribution.from_json(raw["distribution"])
-    except KeyError:
-        raise ScenarioError("scenario is missing 'distribution'") from None
+    except KeyError as exc:
+        raise ScenarioError(f"distribution is missing {exc}") from None
     except (ValueError, TypeError) as exc:
         raise ScenarioError(f"invalid distribution: {exc}") from exc
 
     delta = raw.get("delta")
-    if not _is_number(delta) or not delta > 0:
-        raise ScenarioError("'delta' must be a positive number")
+    if not (_is_number(delta) and 0 < delta < np.inf):
+        raise ScenarioError("'delta' must be a positive finite number")
 
     specs = raw.get("weightings", [{"kind": "identity"}])
-    if not isinstance(specs, list) or not specs:
-        raise ScenarioError("'weightings' must be a nonempty list")
+    if not (isinstance(specs, list) and specs and all(isinstance(w, dict) for w in specs)):
+        raise ScenarioError("'weightings' must be a nonempty list of objects")
     try:
         weightings = [WeightingSpec.from_json(w) for w in specs]
     except (ValueError, TypeError, KeyError) as exc:
@@ -200,11 +202,8 @@ def cmd_social_opt(scenario: Scenario) -> tuple[list, list]:
         "bound",
     ]
     rows = []
-    opt_cache = {}
     for c in scenario.costs:
-        if c not in opt_cache:
-            opt_cache[c] = solver.solve(c)
-        opt_state, opt_cost = opt_cache[c]
+        opt_state, opt_cost = solver.solve(c)
         for w in scenario.weightings:
             spec = GameSpec(params, w, c)
             res = solve_pne(spec, ladder=ladder)

@@ -14,14 +14,19 @@ j costs at least
     floor_j(c) = infected(full state at j-1) + c*(1 - U(full state at j)),
 
 where the infected term comes from the shared :class:`ThresholdLadder`
-and U is a cumulative sum of the degree masses; neither depends on c.
-The search refines thresholds in ascending floor order and stops at the
-first floor above the best cost found (by more than ``PRUNE_MARGIN``),
-so no threshold that could win is skipped.  A refined threshold gets a
-fraction grid, tabulated on first use and kept across costs, then a
-golden-section refinement around the grid minimum; the objective is not
-proven unimodal in the fraction, hence grid-then-refine rather than pure
-golden section.
+and U is a cumulative sum of the degree masses.  The infected term never
+falls as j grows, so the floors stop at the first threshold whose
+infected term alone exceeds, by more than ``PRUNE_MARGIN``, the cheapest
+candidate passed: everyone vaccinated or a full-threshold state below
+it, whose cost the same ladder rung gives.  Only that prefix of rungs is
+solved.  The search refines the prefix in ascending floor order and
+stops at the first floor above the best cost found (by more than
+``PRUNE_MARGIN``), so no threshold that could win is skipped.  A refined
+threshold gets a ``GRID_POINTS`` fraction grid, tabulated on first use
+and kept across costs, then a golden-section refinement to
+``REFINE_WIDTH`` around the grid minimum; the objective is not proven
+unimodal in the fraction, hence grid-then-refine rather than pure golden
+section.
 """
 
 from __future__ import annotations
@@ -53,6 +58,11 @@ __all__ = [
 # Slack on the floor test.  It sits far above the root solvers' |g| <= 1e-12,
 # so rounding in a floor or in a refined cost never prunes the optimum.
 PRUNE_MARGIN = 1e-10
+
+# Fraction grid per refined threshold, and the golden-section bracket width
+# the refinement stops at.
+GRID_POINTS = 1024
+REFINE_WIDTH = 1e-10
 
 # Random non-candidate states drawn by the planner's sanity check.
 SANITY_STATES = 50
@@ -112,55 +122,49 @@ class SocialOptimumSolver:
     """Optimal-policy search with cost-independent work shared across costs.
 
     The endemic map, hence the infected and unprotected mass of every
-    state, does not depend on the vaccination cost.  The floor terms (one
-    ladder rung per threshold) are computed once; the fraction table of a
-    threshold is tabulated the first time the floor test lets it through
-    and then combined with every later cost query.  Pass the ladder of an
+    state, does not depend on the vaccination cost.  The floors of each
+    cost are read off the ladder, whose rungs are solved once and only as
+    far as some cost's floors reach; the fraction table of a threshold is
+    tabulated the first time the floor test lets it through and then
+    combined with every later cost query.  Pass the ladder of an
     equilibrium sweep over the same parameters as ``ladder`` so its rungs
     are solved once.
     """
 
-    def __init__(
-        self,
-        params: EpidemicParams,
-        grid_points: int = 1024,
-        refine_width: float = 1e-10,
-        ladder: ThresholdLadder | None = None,
-    ):
-        if grid_points < 2:
-            raise ValueError("grid_points must be at least 2")
-        if not (refine_width > 0 and np.isfinite(refine_width)):
-            raise ValueError("refine_width must be positive and finite")
+    def __init__(self, params: EpidemicParams, ladder: ThresholdLadder | None = None):
         self.params = params
-        self.grid_points = grid_points
-        self.refine_width = refine_width
         self.ladder = matching_ladder(params, ladder)
         self._tables = {}
-        self._floor_terms = None
 
     def floors(self, cost: float) -> np.ndarray:
-        """Lower bound on the social cost of every state on each threshold.
+        """Lower bounds on the social cost of the thresholds that can still win.
 
         Entry j is ``infected(full state at j-1) + cost*(1 - U(full state
-        at j))``, with an empty state below the lowest threshold.
+        at j))``, with an empty state below the lowest threshold.  The
+        array ends before the first threshold whose infected term exceeds
+        the cheapest candidate passed by more than ``PRUNE_MARGIN``: every
+        later floor is at least that term, so no later state can win or tie.
         """
-        if self._floor_terms is None:
-            dist = self.params.distribution
-            infected_below = np.zeros(dist.size)
-            for j in range(1, dist.size):
-                p = _probabilities(self.params, self.ladder.v_at(j - 1))
-                infected_below[j] = np.sum(dist.mass[:j] * p[:j])
-            self._floor_terms = (infected_below, np.cumsum(dist.mass))
-        infected_below, unprotected = self._floor_terms
-        return infected_below + cost * (1.0 - unprotected)
+        dist = self.params.distribution
+        vaccinated = 1.0 - np.cumsum(dist.mass)
+        floors, bound, below = [], cost, 0.0
+        for j in range(dist.size):
+            if below > bound + PRUNE_MARGIN:
+                break
+            floors.append(below + cost * vaccinated[j])
+            p = _probabilities(self.params, self.ladder.v_at(j))
+            below = float(np.sum(dist.mass[: j + 1] * p[: j + 1]))
+            # the full state at j: the infected term of floor j+1 plus its vaccination cost
+            bound = min(bound, below + cost * vaccinated[j])
+        return np.array(floors)
 
     def _table(self, j: int):
         """Fraction grid on threshold j with the infected and unprotected mass of each point."""
         table = self._tables.get(j)
         if table is None:
             dist = self.params.distribution
-            f_grid = np.linspace(0.0, float(dist.mass[j]), self.grid_points)
-            states = np.zeros((self.grid_points, dist.size))
+            f_grid = np.linspace(0.0, float(dist.mass[j]), GRID_POINTS)
+            states = np.zeros((GRID_POINTS, dist.size))
             states[:, :j] = dist.mass[:j]
             states[:, j] = f_grid
             p = _probabilities(self.params, batch_endemic_v(self.params, states))
@@ -181,7 +185,7 @@ class SocialOptimumSolver:
         k = int(np.argmin(psi))
         lo = f_grid[max(k - 1, 0)]
         hi = f_grid[min(k + 1, f_grid.size - 1)]
-        return _golden_min(lambda f: self._psi(j, f, cost), float(lo), float(hi), self.refine_width)
+        return _golden_min(lambda f: self._psi(j, f, cost), float(lo), float(hi), REFINE_WIDTH)
 
     def solve(self, cost: float):
         """Minimize the social cost over the candidate family.
@@ -232,14 +236,9 @@ class SocialOptimumSolver:
         return state, breakdown
 
 
-def solve_social_optimum(
-    params: EpidemicParams,
-    cost: float,
-    grid_points: int = 1024,
-    refine_width: float = 1e-10,
-):
+def solve_social_optimum(params: EpidemicParams, cost: float):
     """One-shot wrapper around :class:`SocialOptimumSolver`."""
-    return SocialOptimumSolver(params, grid_points, refine_width).solve(cost)
+    return SocialOptimumSolver(params).solve(cost)
 
 
 @dataclass(frozen=True)

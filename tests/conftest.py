@@ -8,6 +8,7 @@ from vaxgame import (
     GameSpec,
     batch_endemic_v,
     dbmf,
+    game,
 )
 
 
@@ -44,6 +45,26 @@ def count_rk4_steps(monkeypatch):
 
     monkeypatch.setattr(dbmf, "_ode_rhs", counted)
     return lambda: calls // 4
+
+
+def count_rung_fills(monkeypatch):
+    """Count ladder rungs filled from here on; returns a callable giving the count.
+
+    Wraps ``vaxgame.game.endemic_state``, which ``ThresholdLadder.v_at``
+    looks up as a module global once per rung it fills.  The planner's own
+    solves go through ``vaxgame.planner``'s name, so in a planner-only run
+    the count is the rungs filled.
+    """
+    solve = game.endemic_state
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return solve(*args)
+
+    monkeypatch.setattr(game, "endemic_state", counted)
+    return lambda: calls
 
 
 def weight_array(spec, probs):

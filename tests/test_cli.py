@@ -210,11 +210,12 @@ class TestErrorExit:
         "key, value",
         [
             ("delta", True),  # ran with delta = 1 before
+            ("delta", float("inf")),  # JSON Infinity; a ValueError past loading before
             ("cost", {"start": 0.1, "stop": 0.9, "steps": 2.7}),  # ran with 2 steps before
             ("cost", {"start": 0.1, "stop": 0.9, "steps": True}),
             ("cost", {"start": 0.1, "stop": 0.9, "steps": "5"}),
         ],
-        ids=["delta-true", "steps-float", "steps-true", "steps-string"],
+        ids=["delta-true", "delta-inf", "steps-float", "steps-true", "steps-string"],
     )
     def test_mistyped_scenario_values_exit_2(self, tmp_path, capsys, key, value):
         obj = k4_scenario()
@@ -236,6 +237,11 @@ class TestErrorExit:
             (("distribution", "mass", "4"), "1.0", "distribution"),
             (("distribution",), {"type": "powerlaw", "d_min": 1.5, "d_max": 9, "beta": 3.0}, "d_min"),
             (("distribution",), {"type": "powerlaw", "d_min": 1, "d_max": 9, "beta": "3"}, "beta"),
+            # AttributeError before, for both
+            (("distribution",), [1, 2], "distribution"),
+            (("weightings",), ["identity"], "weightings"),
+            # reported as a missing 'distribution' before
+            (("distribution",), {"type": "powerlaw", "d_min": 1, "beta": 3.0}, "d_max"),
         ],
         ids=[
             "start-string",
@@ -245,6 +251,9 @@ class TestErrorExit:
             "mass-string",
             "d_min-float",
             "beta-string",
+            "distribution-list",
+            "weighting-string",
+            "d_max-missing",
         ],
     )
     def test_mistyped_nested_values_exit_2(self, tmp_path, capsys, path, value, message):

@@ -24,9 +24,9 @@ from vaxgame import (
     solve_social_optimum,
     SocialOptimumSolver,
 )
-from vaxgame.planner import _golden_min
+from vaxgame.planner import REFINE_WIDTH, _golden_min
 
-from conftest import eradication_boundary, random_distribution, random_params
+from conftest import count_rung_fills, eradication_boundary, random_distribution, random_params
 
 
 def k4_params(delta=2.0):
@@ -121,6 +121,25 @@ class TestSocialOptimum:
             pne = solve_pne(GameSpec(params, identity(), c))
             assert bd.total <= social_cost(params, c, pne.state.social_state()).total + 1e-9
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        degrees=st.lists(st.integers(1, 30), min_size=2, max_size=6, unique=True),
+        data=st.data(),
+        delta_ratio=st.floats(0.05, 0.99),
+        cost=st.floats(0.01, 0.99),
+        alpha=st.one_of(st.none(), st.floats(0.05, 1.0)),
+    )
+    def test_optimum_never_exceeds_c_or_the_equilibrium(self, degrees, data, delta_ratio, cost, alpha):
+        n = len(degrees)
+        mass = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+        dist = DegreeDistribution(sorted(degrees), mass / mass.sum())
+        params = EpidemicParams(delta_ratio * dist.second_moment / dist.mean_degree, dist)
+        _, bd = solve_social_optimum(params, cost)
+        weighting = identity() if alpha is None else prelec(alpha)
+        pne = solve_pne(GameSpec(params, weighting, cost))
+        assert bd.total <= cost + 1e-12
+        assert bd.total <= social_cost(params, cost, pne.state.social_state()).total + 1e-9
+
     def test_zero_fraction_canonicalized(self):
         # an optimum at fraction zero must come back as the previous full
         # threshold (or the all-vaccinated corner), never fraction 0
@@ -131,17 +150,6 @@ class TestSocialOptimum:
             state, _ = solve_social_optimum(params, float(rng.uniform(0.1, 0.9)))
             if not state.is_all_vaccinated:
                 assert state.fraction > 0.0
-
-    def test_grid_floor(self):
-        with pytest.raises(ValueError):
-            SocialOptimumSolver(k4_params(), grid_points=1)
-
-    @pytest.mark.parametrize("width", [0.0, -1e-10, float("nan"), float("inf")])
-    def test_refine_width_positive_and_finite(self, width):
-        # a negative width never ended the golden-section loop, so only the
-        # constructor is called: a regression must fail here, not hang
-        with pytest.raises(ValueError):
-            SocialOptimumSolver(k4_params(), refine_width=width)
 
 
 def exhaustive_solve(solver, cost):
@@ -161,7 +169,7 @@ def exhaustive_solve(solver, cost):
         lo = f_grid[max(k - 1, 0)]
         hi = f_grid[min(k + 1, f_grid.size - 1)]
         f_best, psi_best = _golden_min(
-            lambda f: solver._psi(j, f, cost), float(lo), float(hi), solver.refine_width
+            lambda f: solver._psi(j, f, cost), float(lo), float(hi), REFINE_WIDTH
         )
         if psi_best < best_psi:
             best_psi, best = psi_best, (j, float(f_best))
@@ -188,14 +196,39 @@ class TestPruning:
         params = EpidemicParams(delta_ratio * dist.second_moment / dist.mean_degree, dist)
         floors = SocialOptimumSolver(params).floors(cost)
         d = dist.degrees.astype(np.float64)
+
+        def psi(states):
+            v = batch_endemic_v(params, states)
+            p = d * v[:, None] / (params.delta + d * v[:, None])
+            return np.sum(states * p, axis=1) + cost * (1.0 - states.sum(axis=1))
+
+        grid_min = []
         for j in range(n):
             states = np.zeros((200, n))
             states[:, :j] = dist.mass[:j]
             states[:, j] = np.linspace(0.0, float(dist.mass[j]), 200)
-            v = batch_endemic_v(params, states)
-            p = d * v[:, None] / (params.delta + d * v[:, None])
-            psi = np.sum(states * p, axis=1) + cost * (1.0 - states.sum(axis=1))
-            assert floors[j] <= float(np.min(psi)) + 1e-12
+            grid_min.append(float(np.min(psi(states))))
+        for j in range(len(floors)):
+            assert floors[j] <= grid_min[j] + 1e-12
+        # the stop: no threshold past the prefix gets below the cheapest of
+        # everyone vaccinated and the prefix's full-threshold states
+        full = np.tril(np.tile(dist.mass, (len(floors), 1)))
+        cheapest = min(cost, float(np.min(psi(full))))
+        for j in range(len(floors), n):
+            assert grid_min[j] > cheapest
+
+    def test_floors_stop_before_the_last_threshold(self):
+        params = EpidemicParams(2.0, power_law(1, 100, 3.0))
+        assert len(SocialOptimumSolver(params).floors(0.5)) == 15
+
+    def test_sweep_fills_a_short_prefix_of_rungs(self, monkeypatch):
+        # 19 costs at d_max = 3000 reach 15 rungs; filling every rung is 2,999
+        params = EpidemicParams(2.0, power_law(1, 3000, 3.0))
+        rungs = count_rung_fills(monkeypatch)
+        solver = SocialOptimumSolver(params)
+        for c in np.linspace(0.05, 0.95, 19):
+            solver.solve(float(c))
+        assert rungs() <= 16
 
     def test_pruned_search_matches_exhaustive_scan(self):
         rng = np.random.default_rng(113)
@@ -280,7 +313,7 @@ class TestInefficiency:
     def test_sweep_instance_vaccination_dominates_optimum_cost(self):
         dist = power_law(1, 100, 3.0)
         params = EpidemicParams(2.0, dist)
-        solver = SocialOptimumSolver(params, grid_points=512)
+        solver = SocialOptimumSolver(params)
         for c in (0.2, 0.5, 0.8):
             _, bd = solver.solve(c)
             assert bd.vaccination_term >= bd.infected_term
