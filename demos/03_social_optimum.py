@@ -33,7 +33,7 @@ def main():
     for c in np.linspace(0.1, 0.9, 9):
         opt_state, opt_cost = solver.solve(float(c))
         pne = solve_pne(GameSpec(params, identity(), float(c)), ladder=ladder)
-        pne_cost = social_cost(params, float(c), pne.state.social_state())
+        pne_cost = social_cost(params, float(c), pne.state)
         gap = pne_cost.total - opt_cost.total
         label = f"t={opt_state.threshold} f={opt_state.fraction:.3g}"
         print(f"{c:5.2f} {label:>24} {opt_cost.total:10.6f} {pne_cost.total:10.6f} {gap:10.6f}")

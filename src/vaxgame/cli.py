@@ -207,7 +207,7 @@ def cmd_social_opt(scenario: Scenario) -> tuple[list, list]:
         for w in scenario.weightings:
             spec = GameSpec(params, w, c)
             res = solve_pne(spec, ladder=ladder)
-            pne_cost = social_cost(params, c, res.state.social_state())
+            pne_cost = social_cost(params, c, res.state)
             alpha = "identity" if w.kind == "identity" else _fmt(float(w.alpha))
             rows.append(
                 [

@@ -111,24 +111,29 @@ class SocialState:
         return cls(distribution, np.zeros_like(distribution.mass))
 
     @classmethod
-    def from_threshold(
-        cls, distribution: DegreeDistribution, threshold, fraction=None
-    ) -> "SocialState":
+    def from_threshold(cls, distribution: DegreeDistribution, threshold, fraction=None) -> "SocialState":
         """Threshold state: degrees below fully unprotected, above vaccinated.
 
-        ``fraction`` is the unprotected mass at the threshold degree and
-        defaults to the full mass there.  ``threshold=None`` means everyone
-        vaccinates.
+        ``fraction`` is the unprotected mass at the threshold degree, in
+        [0, m_d] (zero is the previous full-threshold state), and defaults
+        to the full mass there.  ``threshold=None`` means everyone vaccinates.
         """
+        return SocialState(distribution, cls._threshold_array(distribution, threshold, fraction)[0])
+
+    @staticmethod
+    def _threshold_array(distribution: DegreeDistribution, threshold, fraction):
+        """Unprotected array of a threshold state and its fraction, clipped to m_d."""
         x = np.zeros_like(distribution.mass)
-        if threshold is not None:
-            i = distribution.index_of(threshold)
-            f = distribution.mass[i] if fraction is None else float(fraction)
-            if not (0.0 <= f <= distribution.mass[i] + 1e-15):
-                raise ValueError("threshold fraction outside [0, m_d]")
-            x[:i] = distribution.mass[:i]
-            x[i] = min(f, distribution.mass[i])
-        return cls(distribution, x)
+        if threshold is None:
+            return x, 0.0
+        i = distribution.index_of(threshold)
+        m = float(distribution.mass[i])
+        f = m if fraction is None else float(fraction)
+        if not (0.0 <= f <= m + 1e-15):
+            raise ValueError("threshold fraction outside [0, m_d]")
+        x[:i] = distribution.mass[:i]
+        x[i] = f = min(f, m)
+        return x, f
 
     @property
     def unprotected_mass(self) -> float:
@@ -170,20 +175,20 @@ class EndemicState:
 def reproduction(params: EpidemicParams, state: SocialState) -> float:
     """Reproduction quantity R(x) = sum d^2 x_{d,U} / (delta <d>)."""
     _require_same_support(params, state)
-    d = params.distribution.degrees.astype(np.float64)
+    d = params.distribution.float_degrees
     return float(np.sum(d * d * state.unprotected) / (params.delta * params.distribution.mean_degree))
 
 
 def _probabilities(params: EpidemicParams, v) -> np.ndarray:
     """p_d = d*v/(delta + d*v): one row for a scalar v, one per entry of an array."""
-    d = params.distribution.degrees.astype(np.float64)
+    d = params.distribution.float_degrees
     v = np.asarray(v, dtype=np.float64)[..., None]
     return d * v / (params.delta + d * v)
 
 
 def _coefficients(params: EpidemicParams, unprotected: np.ndarray) -> np.ndarray:
     """Rows of d*q_hat_d = d^2*x_d/<d>, the numerators of g."""
-    d = params.distribution.degrees.astype(np.float64)
+    d = params.distribution.float_degrees
     return unprotected * (d * d) / params.distribution.mean_degree
 
 
@@ -201,7 +206,7 @@ def _endemic_roots(params: EpidemicParams, coeff: np.ndarray, tol: float):
     Returns ``(v, |g(v)|)`` per row.  Raises :class:`ConvergenceError` with
     the last iterates and the worst |g| after ``NEWTON_MAX_ITER`` steps.
     """
-    d = params.distribution.degrees.astype(np.float64)
+    d = params.distribution.float_degrees
     v = np.zeros(coeff.shape[0])
     done = np.zeros(v.shape, dtype=bool)
     # two work arrays of the batch's size, reused by every step
@@ -340,7 +345,7 @@ def integrate_dbmf(
         raise ValueError("sample_stride must be at least 1")
     p = _initial_probabilities(params, p0)
 
-    d = params.distribution.degrees.astype(np.float64)
+    d = params.distribution.float_degrees
     q_hat = state.neighbor_weights()
     delta = params.delta
     steps = max(1, int(round(t_end / dt)))
@@ -393,7 +398,7 @@ def settle_dbmf(
     _require_same_support(params, state)
     if not tol > 0:
         raise ValueError("tol must be positive")
-    d = params.distribution.degrees.astype(np.float64)
+    d = params.distribution.float_degrees
     q_hat = state.neighbor_weights()
     delta = params.delta
     if dt is None:
@@ -436,7 +441,7 @@ class NimfaReduction:
 def nimfa_reduction(params: EpidemicParams, state: SocialState) -> NimfaReduction:
     """Materialize the degree-class adjacency and its spectral radius."""
     _require_same_support(params, state)
-    d = params.distribution.degrees.astype(np.float64)
+    d = params.distribution.float_degrees
     q_hat = state.neighbor_weights()
     adjacency = np.outer(d, q_hat)  # entry (i, j) = d_i * q_hat_j
     m = adjacency.T / params.delta  # Delta^-1 A^T

@@ -49,9 +49,12 @@ class DegreeDistribution:
             raise ValueError(f"mass must sum to 1 within {MASS_TOL}, got {total!r}")
         degrees.setflags(write=False)
         mass.setflags(write=False)
-        self.degrees = degrees
-        self.mass = mass
+        # the one float64 view of the degrees every kernel multiplies by
         d = degrees.astype(np.float64)
+        d.setflags(write=False)
+        self.degrees = degrees
+        self.float_degrees = d
+        self.mass = mass
         self.mean_degree = float(np.sum(d * mass))
         self.second_moment = float(np.sum(d * d * mass))
         self.normalization = normalization

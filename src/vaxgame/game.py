@@ -64,30 +64,24 @@ class GameSpec:
         return self.params.distribution
 
 
-class CandidateState:
+class CandidateState(SocialState):
     """Threshold-structured social state.
 
     ``threshold`` is the largest degree with unprotected mass (None when
     everyone vaccinates) and ``fraction`` the unprotected mass there, in
     (0, m_threshold].  Degrees below the threshold are fully unprotected,
-    degrees above fully vaccinated.
+    degrees above fully vaccinated.  The unprotected array is built once,
+    as :meth:`SocialState.from_threshold` builds it, so a candidate goes
+    wherever a social state does.
     """
 
     def __init__(self, distribution: DegreeDistribution, threshold, fraction=None):
-        self.distribution = distribution
-        if threshold is None:
-            self.threshold = None
-            self.fraction = 0.0
-        else:
-            i = distribution.index_of(threshold)
-            f = float(distribution.mass[i] if fraction is None else fraction)
-            if not (0.0 < f <= distribution.mass[i] + 1e-15):
-                raise ValueError("threshold fraction must lie in (0, m_threshold]")
-            self.threshold = int(threshold)
-            self.fraction = min(f, float(distribution.mass[i]))
-
-    def social_state(self) -> SocialState:
-        return SocialState.from_threshold(self.distribution, self.threshold, self.fraction)
+        x, f = self._threshold_array(distribution, threshold, fraction)
+        if threshold is not None and not f > 0.0:
+            raise ValueError("threshold fraction must lie in (0, m_threshold]")
+        super().__init__(distribution, x)
+        self.threshold = None if threshold is None else int(threshold)
+        self.fraction = f
 
     @property
     def is_all_vaccinated(self) -> bool:
@@ -193,7 +187,7 @@ def _interior_fraction(spec: GameSpec, index: int, v_star: float) -> float:
     unprotected and the threshold degree carrying mass f.
     """
     dist = spec.distribution
-    d = dist.degrees.astype(np.float64)
+    d = dist.float_degrees
     delta = spec.params.delta
     below = np.sum(d[:index] ** 2 * dist.mass[:index] / (delta + d[:index] * v_star))
     t = d[index]
@@ -210,12 +204,11 @@ def _result_from_candidate(
     tie: bool,
     audit: int | None,
 ) -> EquilibriumResult:
-    social = cand.social_state()
     p = _probabilities(spec.params, v)
-    infected = float(np.sum(social.unprotected * p))
-    psi = infected + spec.cost * (1.0 - social.unprotected_mass)
+    infected = float(np.sum(cand.unprotected * p))
+    psi = infected + spec.cost * (1.0 - cand.unprotected_mass)
     i = spec.distribution.index_of(cand.threshold)
-    r = reproduction(spec.params, social)
+    r = reproduction(spec.params, cand)
     return EquilibriumResult(
         state=cand,
         v=v,
@@ -321,46 +314,37 @@ class PneCertificate:
     """Best-response equilibrium check, independent of the solver path.
 
     For every degree with unprotected mass the perceived unprotected cost
-    must not exceed c, and with vaccinated mass it must not fall below c;
-    ``max_violation`` is the worst slack over both families.
+    must not exceed c, and with vaccinated mass it must not fall below c.
+    ``violations`` is that slack per degree, aligned with the distribution's
+    ``degrees`` (0 where neither is violated); ``max_violation`` is its maximum.
     """
 
     max_violation: float
     passed: bool
     tol: float
-    violations_by_degree: dict = field(repr=False)
-
-
-def _as_social_state(spec: GameSpec, state) -> SocialState:
-    if isinstance(state, EquilibriumResult):
-        return state.state.social_state()
-    if isinstance(state, CandidateState):
-        return state.social_state()
-    if isinstance(state, SocialState):
-        return state
-    raise TypeError("expected an EquilibriumResult, CandidateState or SocialState")
+    violations: np.ndarray = field(repr=False)
 
 
 def verify_pne(spec: GameSpec, state, tol: float = 1e-9) -> PneCertificate:
-    """Check the best-response equilibrium conditions for any social state."""
-    social = _as_social_state(spec, state)
-    endemic = endemic_state(spec.params, social)
-    dist = spec.distribution
+    """Best-response check of any SocialState, or of an EquilibriumResult's state.
+
+    Re-solves the endemic state itself; TypeError for any other argument.
+    """
+    if isinstance(state, EquilibriumResult):
+        state = state.state
+    if not isinstance(state, SocialState):
+        raise TypeError("expected an EquilibriumResult or a SocialState")
+    endemic = endemic_state(spec.params, state)
     w_p = weight(spec.weighting, endemic.p)
-    x_u = social.unprotected
-    x_v = dist.mass - x_u
+    x_u = state.unprotected
+    x_v = spec.distribution.mass - x_u
     # masked-out families read 0, so the slack is never negative
     viol = np.maximum(
         np.where(x_u > 0.0, w_p - spec.cost, 0.0),
         np.where(x_v > 1e-15, spec.cost - w_p, 0.0),
     )
     worst = float(viol.max())
-    # slack-free degrees share one 0.0 object; a float each would add about
-    # 120 KB per certificate at d_max = 5000
-    by_degree = dict.fromkeys(dist.degrees.tolist(), 0.0)
-    hit = np.flatnonzero(viol)
-    by_degree.update(zip(dist.degrees[hit].tolist(), viol[hit].tolist()))
-    return PneCertificate(worst, worst <= tol, tol, by_degree)
+    return PneCertificate(worst, worst <= tol, tol, viol)
 
 
 @dataclass(frozen=True)

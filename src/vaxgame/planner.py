@@ -32,6 +32,7 @@ section.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -187,6 +188,14 @@ class SocialOptimumSolver:
         hi = f_grid[min(k + 1, f_grid.size - 1)]
         return _golden_min(lambda f: self._psi(j, f, cost), float(lo), float(hi), REFINE_WIDTH)
 
+    @cached_property
+    def _sanity_masses(self):
+        """Infected and unprotected mass of the seeded random sanity states."""
+        dist = self.params.distribution
+        states = np.random.default_rng(0).uniform(size=(SANITY_STATES, dist.size)) * dist.mass
+        p = _probabilities(self.params, batch_endemic_v(self.params, states))
+        return np.sum(states * p, axis=1), states.sum(axis=1)
+
     def solve(self, cost: float):
         """Minimize the social cost over the candidate family.
 
@@ -194,7 +203,8 @@ class SocialOptimumSolver:
         ``threshold=None`` when vaccinating everyone is optimal.  Ties
         across representations resolve to the smaller candidate in the
         threshold-then-fraction order, and a seeded batch of random
-        non-candidate states guards the threshold restriction.
+        non-candidate states, solved once per solver, guards the threshold
+        restriction at every cost.
         """
         if not (0.0 < cost < 1.0):
             raise ValueError("vaccination cost must lie in (0, 1)")
@@ -222,13 +232,10 @@ class SocialOptimumSolver:
             state = CandidateState(dist, None)
         else:
             state = CandidateState(dist, int(dist.degrees[j]), f)
-        breakdown = social_cost(self.params, cost, state.social_state())
+        breakdown = social_cost(self.params, cost, state)
 
-        rng = np.random.default_rng(0)
-        random_states = rng.uniform(size=(SANITY_STATES, dist.size)) * dist.mass
-        p = _probabilities(self.params, batch_endemic_v(self.params, random_states))
-        psi_rand = np.sum(random_states * p, axis=1) + cost * (1.0 - random_states.sum(axis=1))
-        if np.min(psi_rand) < breakdown.total - 1e-9:
+        infected, unprotected = self._sanity_masses
+        if np.min(infected + cost * (1.0 - unprotected)) < breakdown.total - 1e-9:
             raise RuntimeError(
                 "a non-candidate state beat the candidate-family optimum; "
                 "threshold restriction violated"
@@ -271,7 +278,7 @@ def inefficiency(params: EpidemicParams, spec: GameSpec) -> InefficiencyReport:
     ladder = ThresholdLadder(params)
     pne = solve_pne(spec, ladder=ladder)
     opt_state, opt_cost = SocialOptimumSolver(params, ladder=ladder).solve(spec.cost)
-    pne_cost = social_cost(params, spec.cost, pne.state.social_state())
+    pne_cost = social_cost(params, spec.cost, pne.state)
     gap = pne_cost.total - opt_cost.total
     bound = params.distribution.mean_degree / params.delta
 

@@ -131,6 +131,18 @@ class TestCandidateOrder:
             CandidateState(self.dist, 4, 0.0)
         with pytest.raises(ValueError):
             CandidateState(self.dist, 4, 2 * self.dist.mass_of(4))
+        # a plain threshold state may carry zero mass at its threshold
+        assert SocialState.from_threshold(self.dist, 4, 0.0).unprotected[3] == 0.0
+
+    def test_candidate_is_the_threshold_social_state(self):
+        m4 = self.dist.mass_of(4)
+        for threshold, fraction in ((None, None), (4, None), (4, 0.3 * m4), (4, m4 + 1e-16)):
+            cand = CandidateState(self.dist, threshold, fraction)
+            social = SocialState.from_threshold(self.dist, threshold, fraction)
+            assert isinstance(cand, SocialState)
+            np.testing.assert_array_equal(cand.unprotected, social.unprotected)
+            assert cand.fraction == (0.0 if threshold is None else social.unprotected[3])
+            assert not cand.unprotected.flags.writeable
 
 
 class TestUnprotectedCost:
@@ -177,7 +189,7 @@ class TestSolvePne:
         dist = power_law(1, 40, 2.5)
         spec = GameSpec(EpidemicParams(1.5, dist), prelec(0.6), 0.35)
         res = solve_pne(spec)
-        x = res.state.social_state().unprotected
+        x = res.state.unprotected
         j = dist.index_of(res.state.threshold)
         np.testing.assert_array_equal(x[:j], dist.mass[:j])
         assert np.all(x[j + 1 :] == 0.0)
@@ -301,6 +313,27 @@ class TestSolvePne:
         got = (res.state.threshold, res.state.fraction, res.v, res.window, res.degenerate_window_tie)
         assert got == walk_pne(spec, ladder)
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        degrees=st.lists(st.integers(1, 60), min_size=2, max_size=12, unique=True),
+        data=st.data(),
+        delta_ratio=st.floats(0.01, 0.9999, exclude_min=True, exclude_max=True),
+    )
+    def test_windows_are_monotone(self, degrees, data, delta_ratio):
+        # each rung's lower edge t*v_t clears the previous upper edge
+        # succ(t_prev)*v_prev = t*v_prev, the order the bisection relies on
+        n = len(degrees)
+        mass = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+        dist = DegreeDistribution(sorted(degrees), mass / mass.sum())
+        params = EpidemicParams(delta_ratio * dist.second_moment / dist.mean_degree, dist)
+        ladder = ThresholdLadder(params)
+        prev_upper = 0.0
+        for j in range(n):
+            t = float(dist.degrees[j])
+            v_t = ladder.v_at(j)
+            assert t * v_t >= prev_upper - WINDOW_SLACK, (j, t * v_t, prev_upper)
+            prev_upper = float(dist.degrees[j + 1]) * v_t if j + 1 < n else math.inf
+
     def test_exponent_three_sweep_at_large_d_max(self):
         dist = power_law(2, 10_000, 3.0)
         params = EpidemicParams(2.0, dist)
@@ -388,13 +421,13 @@ class TestVerifyPne:
             t = res.state.threshold
             # vaccinated mass at rounding level: below the 1e-15 floor, so
             # the degree still counts as fully unprotected
-            shaved = np.array(res.state.social_state().unprotected)
+            shaved = np.array(res.state.unprotected)
             shaved[dist.degrees < t] = np.nextafter(dist.mass[dist.degrees < t], 0.0)
             states = [
-                res.state.social_state(),
+                res.state,
                 SocialState(dist, shaved),
                 SocialState(dist, rng.uniform(0.0, 1.0, dist.size) * dist.mass),
-                CandidateState(dist, t, min(res.state.fraction * 1.1, dist.mass_of(t))).social_state(),
+                CandidateState(dist, t, min(res.state.fraction * 1.1, dist.mass_of(t))),
                 SocialState.all_vaccinated(dist),
                 SocialState.all_unprotected(dist),
             ]
@@ -403,9 +436,15 @@ class TestVerifyPne:
                 worst, passed, by_degree = self.scalar_certificate(spec, social, 1e-8)
                 assert cert.passed == passed
                 assert cert.max_violation == pytest.approx(worst, abs=1e-15)
-                assert list(cert.violations_by_degree) == list(by_degree)
-                for degree, viol in by_degree.items():
-                    assert cert.violations_by_degree[degree] == pytest.approx(viol, abs=1e-15), degree
+                assert cert.violations.shape == (dist.size,)
+                assert list(by_degree) == dist.degrees.tolist()
+                for i, (degree, viol) in enumerate(by_degree.items()):
+                    assert cert.violations[i] == pytest.approx(viol, abs=1e-15), degree
+
+    def test_rejects_non_states(self):
+        spec = k4_spec()
+        with pytest.raises(TypeError):
+            verify_pne(spec, spec.distribution.mass)
 
     def test_everyone_vaccinated_violates_by_cost(self):
         spec = k4_spec(cost=0.4)

@@ -24,7 +24,8 @@ from vaxgame import (
     solve_social_optimum,
     SocialOptimumSolver,
 )
-from vaxgame.planner import REFINE_WIDTH, _golden_min
+from vaxgame import planner
+from vaxgame.planner import REFINE_WIDTH, SANITY_STATES, _golden_min
 
 from conftest import count_rung_fills, eradication_boundary, random_distribution, random_params
 
@@ -119,7 +120,7 @@ class TestSocialOptimum:
                 probe = SocialState(dist, rng.uniform(0.0, 1.0, dist.size) * dist.mass)
                 assert bd.total <= social_cost(params, c, probe).total + 1e-9
             pne = solve_pne(GameSpec(params, identity(), c))
-            assert bd.total <= social_cost(params, c, pne.state.social_state()).total + 1e-9
+            assert bd.total <= social_cost(params, c, pne.state).total + 1e-9
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -138,7 +139,7 @@ class TestSocialOptimum:
         weighting = identity() if alpha is None else prelec(alpha)
         pne = solve_pne(GameSpec(params, weighting, cost))
         assert bd.total <= cost + 1e-12
-        assert bd.total <= social_cost(params, cost, pne.state.social_state()).total + 1e-9
+        assert bd.total <= social_cost(params, cost, pne.state).total + 1e-9
 
     def test_zero_fraction_canonicalized(self):
         # an optimum at fraction zero must come back as the previous full
@@ -178,7 +179,7 @@ def exhaustive_solve(solver, cost):
         j = None if j in (None, 0) else j - 1
         f = float(dist.mass[j]) if j is not None else 0.0
     state = CandidateState(dist, None if j is None else int(dist.degrees[j]), f)
-    return state, social_cost(solver.params, cost, state.social_state())
+    return state, social_cost(solver.params, cost, state)
 
 
 class TestPruning:
@@ -229,6 +230,29 @@ class TestPruning:
         for c in np.linspace(0.05, 0.95, 19):
             solver.solve(float(c))
         assert rungs() <= 16
+
+    def test_sanity_states_solved_once_per_solver(self, monkeypatch):
+        # the random states do not depend on the cost: one batch of them
+        # serves a whole sweep, and the check still runs at every cost
+        params = EpidemicParams(2.0, power_law(1, 100, 3.0))
+        batch = planner.batch_endemic_v
+        rows = []
+
+        def counted(params, states, *args, **kwargs):
+            rows.append(len(states))
+            return batch(params, states, *args, **kwargs)
+
+        monkeypatch.setattr(planner, "batch_endemic_v", counted)
+        solver = SocialOptimumSolver(params)
+        costs = np.linspace(0.05, 0.95, 19)
+        for c in costs:
+            solver.solve(float(c))
+        assert rows.count(SANITY_STATES) == 1
+        # a random state infecting nobody and vaccinating nobody costs 0
+        solver._sanity_masses = (np.zeros(1), np.ones(1))
+        for c in costs:
+            with pytest.raises(RuntimeError, match="non-candidate state"):
+                solver.solve(float(c))
 
     def test_pruned_search_matches_exhaustive_scan(self):
         rng = np.random.default_rng(113)
