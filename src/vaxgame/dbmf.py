@@ -186,34 +186,44 @@ def _probabilities(params: EpidemicParams, v) -> np.ndarray:
     return d * v / (params.delta + d * v)
 
 
-def _coefficients(params: EpidemicParams, unprotected: np.ndarray) -> np.ndarray:
-    """Rows of d*q_hat_d = d^2*x_d/<d>, the numerators of g."""
-    d = params.distribution.float_degrees
-    return unprotected * (d * d) / params.distribution.mean_degree
+def _coefficients(params: EpidemicParams, unprotected: np.ndarray):
+    """Degrees and rows of d*q_hat_d = d^2*x_d/<d>, the numerators of g.
+
+    Both stop at the last degree where some row has nonzero unprotected
+    mass.  Every term d^2*x_d/(<d>*(delta + d*v)) past it is exactly 0.0,
+    so the cut leaves g and g' the same functions; only numpy's pairwise
+    grouping of the kept terms can differ, by a few ulps.  A threshold
+    state at the j-th degree, such as a ladder rung, keeps j + 1 columns.
+    """
+    columns = np.flatnonzero(unprotected.any(axis=0))
+    width = columns[-1] + 1 if columns.size else 0
+    d = params.distribution.float_degrees[:width]
+    return d, unprotected[:, :width] * (d * d) / params.distribution.mean_degree
 
 
-def _endemic_roots(params: EpidemicParams, coeff: np.ndarray, tol: float):
+def _endemic_roots(delta: float, d: np.ndarray, coeff: np.ndarray, tol: float):
     """Root v of g(v) = sum_d coeff_d/(delta + d*v) - 1 for each row of ``coeff``.
 
-    Every row needs g(0) = R - 1 > 0.  g is strictly decreasing and convex,
-    so a tangent left of the root meets zero at or left of the root: Newton
-    from v = 0 rises monotonically to the root and never overshoots, and
-    needs no bracket or fallback.  A row stops for good at the first iterate
-    with |g| <= tol and a next step g/|g'| of at most 1e-13*v.  The step is
-    signed, so the test also ends a row once rounding puts g <= 0, as it
-    does near R = 1, where g is rounding noise.
+    ``d`` and the columns of ``coeff`` are the degrees :func:`_coefficients`
+    keeps, so each Newton step costs the rows times that width, not the
+    whole degree set.  Every row needs g(0) = R - 1 > 0.  g is strictly
+    decreasing and convex, so a tangent left of the root meets zero at or
+    left of the root: Newton from v = 0 rises monotonically to the root and
+    never overshoots, and needs no bracket or fallback.  A row stops for
+    good at the first iterate with |g| <= tol and a next step g/|g'| of at
+    most 1e-13*v.  The step is signed, so the test also ends a row once
+    rounding puts g <= 0, as it does near R = 1, where g is rounding noise.
 
     Returns ``(v, |g(v)|)`` per row.  Raises :class:`ConvergenceError` with
     the last iterates and the worst |g| after ``NEWTON_MAX_ITER`` steps.
     """
-    d = params.distribution.float_degrees
     v = np.zeros(coeff.shape[0])
     done = np.zeros(v.shape, dtype=bool)
     # two work arrays of the batch's size, reused by every step
     w, terms = np.empty_like(coeff), np.empty_like(coeff)
     for _ in range(NEWTON_MAX_ITER):
         # a finished row keeps its v, so its g is recomputed bit for bit
-        np.add(params.delta, np.outer(v, d, out=w), out=w)
+        np.add(delta, np.outer(v, d, out=w), out=w)
         g = np.divide(coeff, w, out=terms).sum(axis=1) - 1.0
         step = g / (np.divide(terms, w, out=w) @ d)  # g/|g'|
         done |= (np.abs(g) <= tol) & (step <= 1e-13 * v)
@@ -231,9 +241,11 @@ def endemic_state(params: EpidemicParams, state: SocialState, tol: float = 1e-12
     For R(x) <= 1 + NEAR_CRITICAL_R the disease-free state is returned.
     Otherwise v is the unique root in (0, 1) of
     g(v) = sum_d d*q_hat_d/(delta + d*v) - 1, found by the monotone Newton
-    kernel :func:`_endemic_roots` on a batch of one row.  If its iteration
-    cap runs out, the :class:`ConvergenceError` carries the last iterate
-    as an :class:`EndemicState`.
+    kernel :func:`_endemic_roots` on a batch of one row, over the degrees
+    up to the last one with unprotected mass (the terms past it are
+    exactly zero).  R and the returned p still cover every degree.  If its
+    iteration cap runs out, the :class:`ConvergenceError` carries the last
+    iterate as an :class:`EndemicState`.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -242,7 +254,8 @@ def endemic_state(params: EpidemicParams, state: SocialState, tol: float = 1e-12
     if r <= 1.0 + NEAR_CRITICAL_R:
         return EndemicState(0.0, np.zeros(params.distribution.size), r, residual=0.0, degenerate=r > 1.0)
     try:
-        v, residual = _endemic_roots(params, _coefficients(params, state.unprotected[None, :]), tol)
+        d, coeff = _coefficients(params, state.unprotected[None, :])
+        v, residual = _endemic_roots(params.delta, d, coeff, tol)
     except ConvergenceError as exc:
         v = float(exc.best[0])
         exc.best = EndemicState(v, _probabilities(params, v), r, residual=exc.residual)
@@ -257,18 +270,20 @@ def batch_endemic_v(params: EpidemicParams, unprotected: np.ndarray, tol: float 
     ``unprotected`` has one state per row, aligned with the degree set and
     within [0, m_d] (ValueError otherwise).  Rows with R <= 1 +
     NEAR_CRITICAL_R give zero, the rest go through :func:`_endemic_roots`
-    like :func:`endemic_state`.  On exhaustion the :class:`ConvergenceError`
-    carries the last iterates, zero in the subcritical rows.
+    like :func:`endemic_state`, over the degrees up to the last one where
+    any row has unprotected mass.  On exhaustion the
+    :class:`ConvergenceError` carries the last iterates, zero in the
+    subcritical rows.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     x = np.atleast_2d(np.asarray(unprotected, dtype=np.float64))
     _require_unprotected(params.distribution, x, ndim=2)
-    coeff = _coefficients(params, x)
+    d, coeff = _coefficients(params, x)
     v = np.zeros(x.shape[0])
     active = coeff.sum(axis=1) / params.delta > 1.0 + NEAR_CRITICAL_R
     try:
-        v[active] = _endemic_roots(params, coeff[active], tol)[0]
+        v[active] = _endemic_roots(params.delta, d, coeff[active], tol)[0]
     except ConvergenceError as exc:
         v[active] = exc.best
         exc.best = v

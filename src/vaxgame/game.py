@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dbmf import EpidemicParams, SocialState, _probabilities, endemic_state, reproduction
+from .dbmf import NEAR_CRITICAL_R, EpidemicParams, SocialState, _probabilities, endemic_state, reproduction
 from .degree import DegreeDistribution
 from .weighting import WeightingSpec, weight, weight_inverse
 
@@ -219,7 +219,7 @@ def _result_from_candidate(
         expected_infected=infected,
         social_cost=psi,
         reproduction=r,
-        degenerate_near_critical=r <= 1.0 + 1e-12,
+        degenerate_near_critical=r <= 1.0 + NEAR_CRITICAL_R,
         degenerate_window_tie=tie,
         audit_fired_cases=audit,
     )

@@ -67,6 +67,25 @@ def count_rung_fills(monkeypatch):
     return lambda: calls
 
 
+def record_root_widths(monkeypatch):
+    """Record the width of every endemic root solve from here on.
+
+    Wraps ``vaxgame.dbmf._endemic_roots``, the one Newton kernel behind
+    ``endemic_state`` and ``batch_endemic_v``, and returns the list it
+    appends ``coeff.shape[1]`` to: the number of degree columns a solve
+    iterates on.
+    """
+    roots = dbmf._endemic_roots
+    widths = []
+
+    def recorded(delta, d, coeff, tol):
+        widths.append(coeff.shape[1])
+        return roots(delta, d, coeff, tol)
+
+    monkeypatch.setattr(dbmf, "_endemic_roots", recorded)
+    return widths
+
+
 def weight_array(spec, probs):
     """Vectorized perception for oracle code; endpoint-safe."""
     p = np.asarray(probs, dtype=np.float64)

@@ -26,7 +26,13 @@ from vaxgame import (
 from vaxgame import dbmf
 from vaxgame.dbmf import NEAR_CRITICAL_R, EndemicState
 
-from conftest import bisect_endemic_v, count_rk4_steps, random_distribution, random_params
+from conftest import (
+    bisect_endemic_v,
+    count_rk4_steps,
+    random_distribution,
+    random_params,
+    record_root_widths,
+)
 
 
 def single_degree_params(k=4, delta=2.0):
@@ -267,6 +273,41 @@ class TestRootOracle:
             states[row, : j + 1] = dist.mass[: j + 1]
         assert 0.0 == batch_endemic_v(params, states)[0] < batch_endemic_v(params, states)[-1]
         assert_matches_oracle(params, states)
+
+    def test_mixed_supports(self, monkeypatch):
+        # rows end at different degrees, one at d_max; some have zeros below
+        # their top degree, and one carries only 1e-300 there
+        dist = power_law(1, 200, 3.0)
+        params = EpidemicParams(2.0, dist)
+        m, n = dist.mass, dist.size
+        tops = [60, n - 1, 120, 30, 150]
+        rows = np.zeros((len(tops), n))
+        for row, top in zip(rows, tops):
+            row[: top + 1] = m[: top + 1]
+        rows[2, 1:120:3] = 0.0
+        rows[3, 30] *= 0.5
+        rows[4, 41:150] = 0.0
+        rows[4, 150] = 1e-300
+        assert np.all(batch_endemic_v(params, rows) > 0.0)
+        widths = record_root_widths(monkeypatch)
+        assert_matches_oracle(params, rows)
+        # the batch solves on its widest row, each scalar solve on its own
+        assert widths == [n] + [top + 1 for top in tops]
+        widths.clear()
+        short = np.delete(rows, 1, axis=0)
+        assert_matches_oracle(params, short)
+        assert widths[0] == 151
+
+    def test_all_subcritical_batch(self):
+        dist = power_law(1, 200, 3.0)
+        params = EpidemicParams(2.0, dist)
+        rows = np.zeros((3, dist.size))
+        rows[1, :5] = dist.mass[:5]
+        rows[2, 0] = 0.5 * dist.mass[0]
+        assert reproduction(params, SocialState(dist, rows[1])) < 1.0
+        assert np.all(batch_endemic_v(params, rows) == 0.0)
+        assert np.all(batch_endemic_v(params, rows[:1]) == 0.0)
+        assert_matches_oracle(params, rows)
 
     def test_single_degree_closed_form(self):
         # kx/(delta + kv) = 1 gives v = x - delta/k

@@ -1,5 +1,6 @@
 """Vaccination game: costs, candidate ordering, equilibrium solver."""
 
+import json
 import math
 
 import numpy as np
@@ -26,10 +27,17 @@ from vaxgame import (
     weight,
     weight_inverse,
 )
+from vaxgame.cli import cmd_pne, load_scenario
 from vaxgame.degree import DegreeDistribution
 from vaxgame.game import WINDOW_SLACK, _interior_fraction
 
-from conftest import brute_force_pne, random_distribution, random_params, states_within_one_step
+from conftest import (
+    brute_force_pne,
+    random_distribution,
+    random_params,
+    record_root_widths,
+    states_within_one_step,
+)
 
 PRELEC_05_AT_05 = 0.4349367715757099  # exp(-(ln 2)^0.5), 40-digit reference
 
@@ -451,6 +459,60 @@ class TestVerifyPne:
         cert = verify_pne(spec, SocialState.all_vaccinated(spec.distribution))
         assert cert.max_violation == pytest.approx(0.4, abs=1e-15)
         assert not cert.passed
+
+
+class TestRootWorkBudget:
+    """Threshold states are solved on their prefix, not on every degree."""
+
+    def test_rung_solves_on_its_prefix(self, monkeypatch):
+        dist = power_law(1, 1000, 3.0)
+        ladder = ThresholdLadder(EpidemicParams(2.0, dist))
+        widths = record_root_widths(monkeypatch)
+        solved = 0
+        for j in (0, 5, 15, 40, 200, dist.size - 2, dist.size - 1):
+            widths.clear()
+            v = ladder.v_at(j)
+            # a subcritical rung needs no root solve
+            assert widths == ([j + 1] if v > 0.0 else [])
+            solved += v > 0.0
+            widths.clear()
+            assert ladder.v_at(j) == v and widths == []
+        assert solved >= 5
+
+    def test_certificate_solves_on_the_threshold_prefix(self, monkeypatch):
+        dist = power_law(1, 1000, 3.0)
+        spec = GameSpec(EpidemicParams(2.0, dist), prelec(0.5), 0.3)
+        res = solve_pne(spec)
+        widths = record_root_widths(monkeypatch)
+        split = CandidateState(dist, 50, 0.5 * dist.mass_of(50))
+        for cand in (res.state, split, CandidateState(dist, 1000)):
+            widths.clear()
+            assert verify_pne(spec, cand).violations.shape == (dist.size,)
+            assert widths == [dist.index_of(cand.threshold) + 1]
+
+    def test_pne_sweep_column_budget(self, monkeypatch, tmp_path):
+        # the bench sweep's shape: 91 costs x 3 weightings over 4,999 degrees
+        scenario = tmp_path / "sweep.json"
+        scenario.write_text(
+            json.dumps(
+                {
+                    "distribution": {"type": "powerlaw", "d_min": 2, "d_max": 5000, "beta": 3.0},
+                    "delta": 2.0,
+                    "weightings": [
+                        {"kind": "identity"},
+                        {"kind": "prelec", "alpha": 0.75},
+                        {"kind": "prelec", "alpha": 0.5},
+                    ],
+                    "cost": {"start": 0.05, "stop": 0.95, "steps": 91},
+                }
+            )
+        )
+        loaded = load_scenario(str(scenario))
+        widths = record_root_widths(monkeypatch)
+        _, rows = cmd_pne(loaded)
+        n = loaded.distribution.size
+        assert len(rows) == 273 and n == 4999
+        assert sum(widths) <= 0.1 * len(widths) * n, sum(widths) / (len(widths) * n)
 
 
 class TestTrueVsWeighted:
