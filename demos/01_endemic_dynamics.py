@@ -9,6 +9,7 @@ quantity with the spectral radius of the degree-class reduction.
 import numpy as np
 
 from vaxgame import (
+    CandidateState,
     EpidemicParams,
     SocialState,
     endemic_state,
@@ -36,7 +37,7 @@ def main():
         print(f"  degree {d:>3}: steady infection probability {es.p[dist.index_of(d)]:.4f}")
 
     # vaccinate everyone above degree 10: the epidemic dies out
-    trimmed = SocialState.from_threshold(dist, 10)
+    trimmed = CandidateState(dist, 10)
     print(f"\nvaccinating degrees > 10: R = {reproduction(params, trimmed):.4f} -> disease-free")
 
     # the dynamics settle on the same endemic state from a generic start

@@ -14,9 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dbmf import EpidemicParams, SocialState, endemic_state, reproduction
+from .dbmf import EpidemicParams, endemic_state, reproduction
 from .degree import DegreeDistribution
-from .game import GameSpec, ThresholdLadder, solve_pne
+from .game import CandidateState, GameSpec, ThresholdLadder, solve_pne
 from .weighting import WeightingSpec, identity, prelec, weight_inverse
 
 __all__ = [
@@ -83,7 +83,7 @@ def _require_beta3_d0(ctx: PowerLawBoundContext):
 def endemic_odds(ctx: PowerLawBoundContext, t: int) -> float:
     """Infection odds t*v/(delta + t*v) of the threshold degree at the
     full-threshold state; the quantity the analytic bounds bracket."""
-    state = SocialState.from_threshold(ctx.distribution, t)
+    state = CandidateState(ctx.distribution, t)
     params = ctx.params
     if reproduction(params, state) <= 1.0 + VALID_T_MARGIN:
         raise ValueError(f"threshold {t} not large enough for an endemic state")

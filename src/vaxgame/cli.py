@@ -26,7 +26,7 @@ import numpy as np
 from .bounds import PowerLawBoundContext, ratio_sandwich
 from .dbmf import EpidemicParams, SocialState, integrate_dbmf
 from .degree import DegreeDistribution
-from .game import GameSpec, ThresholdLadder, solve_pne, verify_pne
+from .game import CandidateState, GameSpec, ThresholdLadder, solve_pne, verify_pne
 from .planner import SocialOptimumSolver, social_cost
 from .weighting import WeightingSpec
 
@@ -285,7 +285,7 @@ def cmd_dynamics(scenario: Scenario) -> tuple[list, list]:
         ):
             raise ScenarioError("dynamics 'state' needs an integer 'threshold' and a number 'fraction'")
         try:
-            state = SocialState.from_threshold(dist, threshold, fraction)
+            state = CandidateState(dist, threshold, fraction)
         except (KeyError, ValueError) as exc:
             raise ScenarioError(f"invalid dynamics state: {exc}") from exc
     p0 = opts.get("p0", 0.5)

@@ -39,6 +39,8 @@ __all__ = [
 
 # Endemic roots closer to criticality than this resolve to v = 0.
 NEAR_CRITICAL_R = 1e-12
+# |g(v)| a root must reach before its Newton step may stop it.
+ROOT_TOL = 1e-12
 # Newton from v = 0 roughly doubles v per step until near the root: about
 # ten steps at delta = 0.5, one more per halving of delta (41 at 1e-9).
 NEWTON_MAX_ITER = 200
@@ -110,31 +112,6 @@ class SocialState:
     def all_vaccinated(cls, distribution: DegreeDistribution) -> "SocialState":
         return cls(distribution, np.zeros_like(distribution.mass))
 
-    @classmethod
-    def from_threshold(cls, distribution: DegreeDistribution, threshold, fraction=None) -> "SocialState":
-        """Threshold state: degrees below fully unprotected, above vaccinated.
-
-        ``fraction`` is the unprotected mass at the threshold degree, in
-        [0, m_d] (zero is the previous full-threshold state), and defaults
-        to the full mass there.  ``threshold=None`` means everyone vaccinates.
-        """
-        return SocialState(distribution, cls._threshold_array(distribution, threshold, fraction)[0])
-
-    @staticmethod
-    def _threshold_array(distribution: DegreeDistribution, threshold, fraction):
-        """Unprotected array of a threshold state and its fraction, clipped to m_d."""
-        x = np.zeros_like(distribution.mass)
-        if threshold is None:
-            return x, 0.0
-        i = distribution.index_of(threshold)
-        m = float(distribution.mass[i])
-        f = m if fraction is None else float(fraction)
-        if not (0.0 <= f <= m + 1e-15):
-            raise ValueError("threshold fraction outside [0, m_d]")
-        x[:i] = distribution.mass[:i]
-        x[i] = f = min(f, m)
-        return x, f
-
     @property
     def unprotected_mass(self) -> float:
         return float(self.unprotected.sum())
@@ -192,8 +169,8 @@ def _coefficients(params: EpidemicParams, unprotected: np.ndarray):
     Both stop at the last degree where some row has nonzero unprotected
     mass.  Every term d^2*x_d/(<d>*(delta + d*v)) past it is exactly 0.0,
     so the cut leaves g and g' the same functions; only numpy's pairwise
-    grouping of the kept terms can differ, by a few ulps.  A threshold
-    state at the j-th degree, such as a ladder rung, keeps j + 1 columns.
+    grouping of the kept terms can differ, by a few ulps.  A state whose
+    last unprotected degree is the j-th keeps j + 1 columns.
     """
     columns = np.flatnonzero(unprotected.any(axis=0))
     width = columns[-1] + 1 if columns.size else 0
@@ -235,27 +212,26 @@ def _endemic_roots(delta: float, d: np.ndarray, coeff: np.ndarray, tol: float):
     raise ConvergenceError(f"{message} (worst |g| {worst:.3e})", best=v, residual=worst)
 
 
-def endemic_state(params: EpidemicParams, state: SocialState, tol: float = 1e-12) -> EndemicState:
+def endemic_state(params: EpidemicParams, state: SocialState) -> EndemicState:
     """Endemic fixed point of the mean-field dynamics.
 
     For R(x) <= 1 + NEAR_CRITICAL_R the disease-free state is returned.
     Otherwise v is the unique root in (0, 1) of
-    g(v) = sum_d d*q_hat_d/(delta + d*v) - 1, found by the monotone Newton
-    kernel :func:`_endemic_roots` on a batch of one row, over the degrees
-    up to the last one with unprotected mass (the terms past it are
-    exactly zero).  R and the returned p still cover every degree.  If its
-    iteration cap runs out, the :class:`ConvergenceError` carries the last
-    iterate as an :class:`EndemicState`.
+    g(v) = sum_d d*q_hat_d/(delta + d*v) - 1, found to |g| <= ROOT_TOL by
+    the monotone Newton kernel :func:`_endemic_roots` on a batch of one
+    row, over the degrees up to the last one with unprotected mass (the
+    terms past it are exactly zero).  R and the returned p still cover
+    every degree.  If its iteration cap runs out, the
+    :class:`ConvergenceError` carries the last iterate as an
+    :class:`EndemicState`.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     _require_same_support(params, state)
     r = reproduction(params, state)
     if r <= 1.0 + NEAR_CRITICAL_R:
         return EndemicState(0.0, np.zeros(params.distribution.size), r, residual=0.0, degenerate=r > 1.0)
     try:
         d, coeff = _coefficients(params, state.unprotected[None, :])
-        v, residual = _endemic_roots(params.delta, d, coeff, tol)
+        v, residual = _endemic_roots(params.delta, d, coeff, ROOT_TOL)
     except ConvergenceError as exc:
         v = float(exc.best[0])
         exc.best = EndemicState(v, _probabilities(params, v), r, residual=exc.residual)
@@ -264,7 +240,7 @@ def endemic_state(params: EpidemicParams, state: SocialState, tol: float = 1e-12
     return EndemicState(v, _probabilities(params, v), r, residual=float(residual[0]))
 
 
-def batch_endemic_v(params: EpidemicParams, unprotected: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def batch_endemic_v(params: EpidemicParams, unprotected: np.ndarray) -> np.ndarray:
     """Endemic v for many social states at once.
 
     ``unprotected`` has one state per row, aligned with the degree set and
@@ -275,15 +251,13 @@ def batch_endemic_v(params: EpidemicParams, unprotected: np.ndarray, tol: float 
     :class:`ConvergenceError` carries the last iterates, zero in the
     subcritical rows.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     x = np.atleast_2d(np.asarray(unprotected, dtype=np.float64))
     _require_unprotected(params.distribution, x, ndim=2)
     d, coeff = _coefficients(params, x)
     v = np.zeros(x.shape[0])
     active = coeff.sum(axis=1) / params.delta > 1.0 + NEAR_CRITICAL_R
     try:
-        v[active] = _endemic_roots(params.delta, d, coeff[active], tol)[0]
+        v[active] = _endemic_roots(params.delta, d, coeff[active], ROOT_TOL)[0]
     except ConvergenceError as exc:
         v[active] = exc.best
         exc.best = v

@@ -59,7 +59,6 @@ class DegreeDistribution:
         self.second_moment = float(np.sum(d * d * mass))
         self.normalization = normalization
         self.exponent = exponent
-        self._index = {int(k): i for i, k in enumerate(degrees)}
 
     @property
     def d_min(self) -> int:
@@ -74,10 +73,13 @@ class DegreeDistribution:
         return int(self.degrees.size)
 
     def index_of(self, degree: int) -> int:
-        try:
-            return self._index[int(degree)]
-        except KeyError:
-            raise KeyError(f"degree {degree} not in distribution") from None
+        """Position of ``degree`` in the sorted degree set; KeyError if absent."""
+        k = int(degree)
+        i = int(self.degrees.searchsorted(k))
+        # past d_max, searchsorted returns the size, one beyond the last index
+        if i == self.size or self.degrees[i] != k:
+            raise KeyError(f"degree {degree} not in distribution")
+        return i
 
     def mass_of(self, degree: int) -> float:
         return float(self.mass[self.index_of(degree)])

@@ -65,20 +65,34 @@ class GameSpec:
 
 
 class CandidateState(SocialState):
-    """Threshold-structured social state.
+    """Threshold-structured social state, in canonical form.
 
     ``threshold`` is the largest degree with unprotected mass (None when
     everyone vaccinates) and ``fraction`` the unprotected mass there, in
     (0, m_threshold].  Degrees below the threshold are fully unprotected,
-    degrees above fully vaccinated.  The unprotected array is built once,
-    as :meth:`SocialState.from_threshold` builds it, so a candidate goes
-    wherever a social state does.
+    degrees above fully vaccinated.  The constructor takes a fraction in
+    [0, m_threshold], defaulting to the full mass; a zero fraction builds
+    the same array as the full state at the previous degree, or as
+    everyone vaccinated at d_min, and is stored as that state.  So every
+    threshold state has one representation, and a candidate goes wherever
+    a social state does.
     """
 
     def __init__(self, distribution: DegreeDistribution, threshold, fraction=None):
-        x, f = self._threshold_array(distribution, threshold, fraction)
-        if threshold is not None and not f > 0.0:
-            raise ValueError("threshold fraction must lie in (0, m_threshold]")
+        x = np.zeros_like(distribution.mass)
+        f = 0.0
+        if threshold is not None:
+            i = distribution.index_of(threshold)
+            m = float(distribution.mass[i])
+            f = m if fraction is None else float(fraction)
+            if not (0.0 <= f <= m + 1e-15):
+                raise ValueError("threshold fraction outside [0, m_d]")
+            x[:i] = distribution.mass[:i]
+            x[i] = f = min(f, m)
+            if f == 0.0:
+                # no mass at the threshold: relabel as the previous full state
+                threshold = None if i == 0 else distribution.degrees[i - 1]
+                f = 0.0 if i == 0 else float(distribution.mass[i - 1])
         super().__init__(distribution, x)
         self.threshold = None if threshold is None else int(threshold)
         self.fraction = f
@@ -128,8 +142,7 @@ class ThresholdLadder:
         v = self._v.get(index)
         if v is None:
             dist = self.params.distribution
-            state = SocialState.from_threshold(dist, int(dist.degrees[index]))
-            v = endemic_state(self.params, state).v
+            v = endemic_state(self.params, CandidateState(dist, dist.degrees[index])).v
             self._v[index] = v
         return v
 
@@ -138,7 +151,9 @@ def matching_ladder(params: EpidemicParams, ladder: ThresholdLadder | None) -> T
     """``ladder`` if it was built for ``params``, a fresh ladder if None.
 
     Raises ValueError for a ladder built on another curing rate or degree
-    set, whose rungs would answer for the wrong epidemic.
+    set, whose rungs would answer for the wrong epidemic.  :func:`solve_pne`
+    and the planner both pass through here, so a game spec and a planner on
+    different epidemics fail the same way.
     """
     if ladder is None:
         return ThresholdLadder(params)
@@ -146,7 +161,7 @@ def matching_ladder(params: EpidemicParams, ladder: ThresholdLadder | None) -> T
         ladder.params.delta == params.delta
         and ladder.params.distribution.same_support(params.distribution)
     ):
-        raise ValueError("ladder built for different epidemic parameters")
+        raise ValueError("epidemic parameters do not match: another curing rate or degree set")
     return ladder
 
 
@@ -257,18 +272,21 @@ def solve_pne(spec: GameSpec, ladder: ThresholdLadder | None = None, audit: bool
     degrees = dist.degrees
     n = degrees.size
 
+    def edges(j: int, v: float) -> tuple:
+        # window edges (t_j*v, t_{j+1}*v), the top unbounded at the last degree
+        return float(degrees[j]) * v, (float(degrees[j + 1]) * v if j + 1 < n else math.inf)
+
     def reaches_k(j: int) -> bool:
         # K at or below rung j's window top; subcritical windows are empty
         if j + 1 == n:
             return True
         v_j = ladder.v_at(j)
-        return v_j > 0.0 and K <= float(degrees[j + 1]) * v_j + WINDOW_SLACK
+        return v_j > 0.0 and K <= edges(j, v_j)[1] + WINDOW_SLACK
 
     j = bisect.bisect_left(range(n), True, key=reaches_k)
     t = float(degrees[j])
     v_t = ladder.v_at(j)
-    lower = t * v_t
-    upper = float(degrees[j + 1]) * v_t if j + 1 < n else math.inf
+    lower, upper = edges(j, v_t)
     if K < lower - WINDOW_SLACK:
         # interior at t; the previous window's upper edge guarantees K/t
         # exceeds the previous full-threshold v
@@ -281,7 +299,7 @@ def solve_pne(spec: GameSpec, ladder: ThresholdLadder | None = None, audit: bool
                 "solver tolerance breach"
             )
         cand = CandidateState(dist, int(t), min(f, m_t))
-        window = (t * v, float(degrees[j + 1]) * v if j + 1 < n else math.inf)
+        window = edges(j, v)
         interior, tie = True, False
     else:
         cand = CandidateState(dist, int(t))
@@ -294,10 +312,7 @@ def solve_pne(spec: GameSpec, ladder: ThresholdLadder | None = None, audit: bool
     if audit:
         prev_upper = 0.0
         for j in range(n):
-            t = float(degrees[j])
-            v_t = ladder.v_at(j)
-            lower = t * v_t
-            upper = float(degrees[j + 1]) * v_t if j + 1 < n else math.inf
+            lower, upper = edges(j, ladder.v_at(j))
             if lower < prev_upper - WINDOW_SLACK:
                 raise RuntimeError("window ladder is not monotone; solver tolerance breach")
             if prev_upper < K < lower:

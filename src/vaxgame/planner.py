@@ -26,7 +26,9 @@ threshold gets a ``GRID_POINTS`` fraction grid, tabulated on first use
 and kept across costs, then a golden-section refinement to
 ``REFINE_WIDTH`` around the grid minimum; the objective is not proven
 unimodal in the fraction, hence grid-then-refine rather than pure golden
-section.
+section.  Every state evaluated or returned is a :class:`CandidateState`,
+so a zero fraction needs no special case here; only the fraction grid
+lays out its rows by hand.
 """
 
 from __future__ import annotations
@@ -174,10 +176,8 @@ class SocialOptimumSolver:
         return table
 
     def _psi(self, j: int, f: float, cost: float) -> float:
-        state = SocialState.from_threshold(
-            self.params.distribution, int(self.params.distribution.degrees[j]), f
-        )
-        return social_cost(self.params, cost, state).total
+        dist = self.params.distribution
+        return social_cost(self.params, cost, CandidateState(dist, dist.degrees[j], f)).total
 
     def _refine(self, j: int, cost: float):
         """Best ``(fraction, cost)`` on threshold j: grid minimum, then golden section."""
@@ -200,11 +200,12 @@ class SocialOptimumSolver:
         """Minimize the social cost over the candidate family.
 
         Returns ``(CandidateState, SocialCostBreakdown)``; the state has
-        ``threshold=None`` when vaccinating everyone is optimal.  Ties
-        across representations resolve to the smaller candidate in the
-        threshold-then-fraction order, and a seeded batch of random
-        non-candidate states, solved once per solver, guards the threshold
-        restriction at every cost.
+        ``threshold=None`` when vaccinating everyone is optimal.  Equal
+        costs resolve to the smallest threshold, and a zero refined fraction
+        comes back from :class:`CandidateState` as the full state at the
+        previous degree (or everyone vaccinated), the one representation of
+        that state.  A seeded batch of random non-candidate states, solved
+        once per solver, guards the threshold restriction at every cost.
         """
         if not (0.0 < cost < 1.0):
             raise ValueError("vaccination cost must lie in (0, 1)")
@@ -219,19 +220,12 @@ class SocialOptimumSolver:
                 break
             refined[j] = self._refine(j, cost)
             best_psi = min(best_psi, refined[j][1])
-        j, f = None, 0.0
         if best_psi < cost:
             # the smallest threshold attaining the minimum, as an ascending scan keeps
             j = min(k for k, (_, psi) in refined.items() if psi == best_psi)
-            f = float(refined[j][0])
-        if j is None or f <= 0.0:
-            # a zero fraction duplicates the previous full-threshold state
-            j = None if j in (None, 0) else j - 1
-            f = float(dist.mass[j]) if j is not None else 0.0
-        if j is None:
-            state = CandidateState(dist, None)
+            state = CandidateState(dist, dist.degrees[j], refined[j][0])
         else:
-            state = CandidateState(dist, int(dist.degrees[j]), f)
+            state = CandidateState(dist, None)
         breakdown = social_cost(self.params, cost, state)
 
         infected, unprotected = self._sanity_masses
@@ -269,12 +263,10 @@ class InefficiencyReport:
 
 
 def inefficiency(params: EpidemicParams, spec: GameSpec) -> InefficiencyReport:
-    """Compare the equilibrium against the planner's optimum."""
-    if spec.params is not params and not (
-        spec.params.delta == params.delta
-        and spec.params.distribution.same_support(params.distribution)
-    ):
-        raise ValueError("game spec uses different epidemic parameters")
+    """Compare the equilibrium against the planner's optimum.
+
+    ValueError if ``spec`` is a game on another curing rate or degree set.
+    """
     ladder = ThresholdLadder(params)
     pne = solve_pne(spec, ladder=ladder)
     opt_state, opt_cost = SocialOptimumSolver(params, ladder=ladder).solve(spec.cost)

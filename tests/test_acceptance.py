@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from vaxgame import (
+    CandidateState,
     EpidemicParams,
     GameSpec,
     PowerLawBoundContext,
@@ -328,7 +329,7 @@ def test_criterion_5c_social_optimum_threshold(sweep_instance):
     # the reported optimum, threshold 1: the full threshold-1 state is
     # subcritical, so every threshold-1 state is infection-free and the
     # full one is the cheapest of them
-    threshold_one = social_cost(params, 0.5, SocialState.from_threshold(dist, dist.d_min)).total
+    threshold_one = social_cost(params, 0.5, CandidateState(dist, dist.d_min)).total
     assert report(
         "criterion 5c: social optimum at the eradication boundary across the sweep",
         ok,
@@ -354,7 +355,7 @@ def test_criterion_6_power_law_bounds():
             t = int(t)
             if t == dist.d_min:
                 continue
-            state = SocialState.from_threshold(dist, t)
+            state = CandidateState(dist, t)
             if reproduction(params, state) <= 1.0 + 1e-9:
                 continue
             ok &= odds_lower_bound(ctx, t) <= endemic_odds(ctx, t) + 1e-12
@@ -367,7 +368,7 @@ def test_criterion_6_power_law_bounds():
         params = EpidemicParams(delta, dist)
         for t in dist.degrees:
             t = int(t)
-            state = SocialState.from_threshold(dist, t)
+            state = CandidateState(dist, t)
             if reproduction(params, state) <= 1.0 + 1e-9:
                 continue
             up_ok &= endemic_odds(ctx, t) <= odds_upper_bound(ctx, t) + 1e-12

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vaxgame import (
+    CandidateState,
     ConsistencyError,
     ConvergenceError,
     DegreeDistribution,
@@ -144,9 +145,10 @@ class TestEndemicState:
         assert np.all(best[active] > 0.0) and np.all(best[active] < roots[active])
         assert info.value.residual > 1e-12
 
-    def test_returned_residual_meets_tol(self):
+    def test_returned_residual_meets_tol(self, monkeypatch):
         # 1e-17 is below the rounding of g: a solve returns only where g
         # rounds to exactly zero, and raises otherwise
+        monkeypatch.setattr(dbmf, "ROOT_TOL", 1e-17)
         rng = np.random.default_rng(3)
         outcomes = set()
         for _ in range(30):
@@ -154,7 +156,7 @@ class TestEndemicState:
             params = random_params(rng, dist)
             state = SocialState(dist, rng.uniform(0.5, 1.0, dist.size) * dist.mass)
             try:
-                assert endemic_state(params, state, tol=1e-17).residual <= 1e-17
+                assert endemic_state(params, state).residual <= 1e-17
                 outcomes.add("returned")
             except ConvergenceError as exc:
                 assert exc.residual > 1e-17
@@ -172,16 +174,6 @@ class TestEndemicState:
         best = info.value.best
         assert isinstance(best, EndemicState) and 0.0 < best.v < root
         assert best.residual == info.value.residual > 1e-12
-
-    def test_batch_rejects_nonpositive_tol(self):
-        # nan ran every iteration and then raised ConvergenceError before
-        dist = power_law(1, 5, 3.0)
-        params = EpidemicParams(1.0, dist)
-        for tol in (0.0, -1e-12, float("nan")):
-            with pytest.raises(ValueError):
-                batch_endemic_v(params, dist.mass[None, :], tol=tol)
-            with pytest.raises(ValueError):
-                endemic_state(params, SocialState.all_unprotected(dist), tol=tol)
 
     @pytest.mark.parametrize(
         "rows",
@@ -333,8 +325,8 @@ class TestMonotonicity:
                 f1, f2 = min(f1, f2), max(f1, f2)
                 if f2 - f1 < 1e-3 * dist.mass[j1]:
                     continue
-            s1 = SocialState.from_threshold(dist, int(dist.degrees[j1]), f1)
-            s2 = SocialState.from_threshold(dist, int(dist.degrees[j2]), f2)
+            s1 = CandidateState(dist, int(dist.degrees[j1]), f1)
+            s2 = CandidateState(dist, int(dist.degrees[j2]), f2)
             v1 = endemic_state(params, s1).v
             v2 = endemic_state(params, s2).v
             assert v1 <= v2 + 1e-12

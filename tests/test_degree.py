@@ -85,6 +85,21 @@ class TestNeighborProb:
             assert dist.neighbor_probs().sum() == pytest.approx(1.0, abs=1e-12)
 
 
+class TestIndexOf:
+    def test_gapped_set_round_trips(self):
+        dist = explicit({2: 0.4, 3: 0.1, 10: 0.3, 37: 0.2})
+        for i, d in enumerate(dist.degrees):
+            assert dist.index_of(d) == dist.index_of(int(d)) == i
+
+    @pytest.mark.parametrize("degree", [1, 4, 9, 36, 38, 10**6])
+    def test_absent_degree_raises_key_error(self, degree):
+        # below d_min, in a gap, above d_max: above, the insertion point is
+        # the size, one past the last index
+        dist = explicit({2: 0.4, 3: 0.1, 10: 0.3, 37: 0.2})
+        with pytest.raises(KeyError):
+            dist.index_of(degree)
+
+
 class TestValidation:
     def test_moments_recomputable(self):
         rng = np.random.default_rng(11)

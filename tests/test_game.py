@@ -135,22 +135,59 @@ class TestCandidateOrder:
             compare_candidates(CandidateState(self.dist, 3), CandidateState(other, 3))
 
     def test_fraction_domain(self):
-        with pytest.raises(ValueError):
-            CandidateState(self.dist, 4, 0.0)
-        with pytest.raises(ValueError):
-            CandidateState(self.dist, 4, 2 * self.dist.mass_of(4))
-        # a plain threshold state may carry zero mass at its threshold
-        assert SocialState.from_threshold(self.dist, 4, 0.0).unprotected[3] == 0.0
+        m4 = self.dist.mass_of(4)
+        for bad in (-1e-12, 2 * m4, float("nan")):
+            with pytest.raises(ValueError):
+                CandidateState(self.dist, 4, bad)
+        # zero mass at the threshold is the full state at the previous degree
+        zero = CandidateState(self.dist, 4, 0.0)
+        assert (zero.threshold, zero.fraction) == (3, self.dist.mass_of(3))
+        assert zero.unprotected[3] == 0.0
+        with pytest.raises(KeyError):
+            CandidateState(self.dist, 11)
 
     def test_candidate_is_the_threshold_social_state(self):
         m4 = self.dist.mass_of(4)
+        mass = self.dist.mass
         for threshold, fraction in ((None, None), (4, None), (4, 0.3 * m4), (4, m4 + 1e-16)):
             cand = CandidateState(self.dist, threshold, fraction)
-            social = SocialState.from_threshold(self.dist, threshold, fraction)
             assert isinstance(cand, SocialState)
-            np.testing.assert_array_equal(cand.unprotected, social.unprotected)
-            assert cand.fraction == (0.0 if threshold is None else social.unprotected[3])
             assert not cand.unprotected.flags.writeable
+            if threshold is None:
+                want, f = np.zeros_like(mass), 0.0
+            else:
+                # mass below the threshold, the fraction at it, zeros above
+                f = m4 if fraction is None else min(fraction, m4)
+                want = np.concatenate([mass[:3], [f], np.zeros(mass.size - 4)])
+            np.testing.assert_array_equal(cand.unprotected, want)
+            assert cand.fraction == f
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        degrees=st.lists(st.integers(1, 60), min_size=1, max_size=12, unique=True),
+        data=st.data(),
+    )
+    def test_one_representation_per_threshold_state(self, degrees, data):
+        n = len(degrees)
+        mass = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+        dist = DegreeDistribution(sorted(degrees), mass / mass.sum())
+        bottom = CandidateState(dist, None)
+        for j, t in enumerate(dist.degrees):
+            zero = CandidateState(dist, t, 0.0)
+            # fraction 0 at t_j is the full state at t_{j-1}, or everyone
+            # vaccinated at d_min: same array, same labels, equal in the order
+            same = CandidateState(dist, dist.degrees[j - 1]) if j else bottom
+            np.testing.assert_array_equal(zero.unprotected, same.unprotected)
+            assert (zero.threshold, zero.fraction) == (same.threshold, same.fraction)
+            assert compare_candidates(zero, same) == 0
+            m = float(dist.mass[j])
+            f = data.draw(st.floats(0.0, m, exclude_min=True))
+            cand = CandidateState(dist, t, f)
+            want = np.concatenate([dist.mass[:j], [f], np.zeros(n - j - 1)])
+            np.testing.assert_array_equal(cand.unprotected, want)
+            assert (cand.threshold, cand.fraction) == (int(t), f)
+        np.testing.assert_array_equal(bottom.unprotected, np.zeros(n))
+        assert (bottom.threshold, bottom.fraction) == (None, 0.0)
 
 
 class TestUnprotectedCost:

@@ -12,6 +12,10 @@ with unprotected mass; neither change may move a byte there.
 ``powerlaw_d100_pne.csv`` was recaptured after that cut, which regroups
 the kernel's sums: ``v``, ``expected_infected`` and ``social_cost`` moved
 by at most 1.7e-15 relative, ``threshold`` and ``fraction`` not at all.
+``powerlaw_d100_opt.csv`` and ``single_degree_opt.csv`` were captured
+before threshold states got one constructor, which canonicalizes a zero
+fraction inside :class:`CandidateState` in place of the planner's own
+code; that change may not move a byte of ``opt`` either.
 """
 
 import csv
@@ -66,7 +70,9 @@ def test_exact_set_complete():
         "bounds_d500_bounds.csv",
         "dynamics_d100_dynamics.csv",
         "dynamics_d100_dynamics.json",
+        "powerlaw_d100_opt.csv",
         "powerlaw_d100_pne.csv",
+        "single_degree_opt.csv",
     ]
 
 

@@ -158,8 +158,7 @@ def exhaustive_solve(solver, cost):
 
     Uses the solver's own fraction tables and golden-section refinement,
     keeps the first threshold that strictly improves on everyone
-    vaccinated and on every earlier threshold, and canonicalizes a zero
-    fraction as the solver does.
+    vaccinated and on every earlier threshold.
     """
     dist = solver.params.distribution
     best_psi, best = cost, (None, 0.0)
@@ -175,9 +174,6 @@ def exhaustive_solve(solver, cost):
         if psi_best < best_psi:
             best_psi, best = psi_best, (j, float(f_best))
     j, f = best
-    if j is None or f <= 0.0:
-        j = None if j in (None, 0) else j - 1
-        f = float(dist.mass[j]) if j is not None else 0.0
     state = CandidateState(dist, None if j is None else int(dist.degrees[j]), f)
     return state, social_cost(solver.params, cost, state)
 
@@ -322,6 +318,13 @@ class TestInefficiency:
         params = EpidemicParams(1.5, dist)
         rep = inefficiency(params, GameSpec(params, prelec(0.5), 0.8))
         assert rep.ordering_checked and rep.ordering_holds
+
+    def test_rejects_a_game_on_another_epidemic(self):
+        # the equilibrium and the optimum must answer for one epidemic
+        params = EpidemicParams(1.5, power_law(1, 30, 2.5))
+        for other in (EpidemicParams(1.4, params.distribution), EpidemicParams(1.5, power_law(1, 29, 2.5))):
+            with pytest.raises(ValueError, match="curing rate or degree set"):
+                inefficiency(params, GameSpec(other, identity(), 0.5))
 
     def test_random_identity_instances(self):
         rng = np.random.default_rng(83)
