@@ -268,8 +268,8 @@ def cmd_bounds(scenario: Scenario) -> tuple[list, list]:
     return header, rows
 
 
-def cmd_dynamics(scenario: Scenario) -> tuple[list, list]:
-    """Sampled mean-field trajectory for the configured social state."""
+def cmd_dynamics(scenario: Scenario) -> tuple[list, np.ndarray]:
+    """Sampled mean-field trajectory for the configured social state, one float row per sample."""
     opts = scenario.options.get("dynamics", {})
     params = scenario.params
     dist = scenario.distribution
@@ -302,10 +302,7 @@ def cmd_dynamics(scenario: Scenario) -> tuple[list, list]:
         raise ScenarioError("dynamics 'sample_stride' must be an integer of at least 1")
     traj = integrate_dbmf(params, state, p0, float(t_end), None if dt is None else float(dt), stride)
     header = ["t"] + [f"p_{int(d)}" for d in traj.degrees]
-    # row by row: one tolist() of the whole table would hold a second set of
-    # row lists (about 5 MB at 6001 x 101) until the last row is built
-    rows = [[t] + row.tolist() for t, row in zip(traj.times.tolist(), traj.probabilities)]
-    return header, rows
+    return header, np.column_stack([traj.times, traj.probabilities])
 
 
 COMMANDS = {
@@ -316,19 +313,33 @@ COMMANDS = {
 }
 
 
-def _write_csv(path: str, header: list, rows: list):
+# Rows of a float table formatted by one %-string each.
+CSV_BLOCK_ROWS = 64
+
+
+def _write_csv(path: str, header: list, rows):
+    """Write the header, then ``rows``: a float ndarray or a list of mixed rows.
+
+    An ndarray is written CSV_BLOCK_ROWS rows at a time, one "%.17g"
+    %-format per block, the same bytes as :func:`_fmt` on each value.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        # one %-format for an all-float row: the same bytes as _fmt on each
-        float_row = ",".join(["%.17g"] * len(header)) + "\n"
-        for row in rows:
-            if all(isinstance(v, float) for v in row):
-                fh.write(float_row % tuple(row))
-            else:
+        if isinstance(rows, np.ndarray):
+            row_format = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+            for start in range(0, len(rows), CSV_BLOCK_ROWS):
+                block = rows[start : start + CSV_BLOCK_ROWS]
+                fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
+        else:
+            for row in rows:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_json(path: str, header: list, rows: list):
+def _write_json(path: str, header: list, rows):
+    if isinstance(rows, np.ndarray):
+        # row by row: a tolist() of the whole table would hold a nested
+        # list of it beside the array and the records
+        rows = map(np.ndarray.tolist, rows)
     records = [dict(zip(header, row)) for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(records, fh, indent=2)

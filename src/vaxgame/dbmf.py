@@ -14,6 +14,7 @@ concurrently over distinct states.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -293,7 +294,8 @@ def _rk4_step(delta, d, q_hat, p, dt):
 
 def _require_unit_interval(p: np.ndarray, t: float):
     """Raise :class:`IntegrationError` unless p is finite and in [0, 1] up to roundoff."""
-    if not np.all((p >= -1e-9) & (p <= 1.0 + 1e-9)):
+    # two reductions, no temporaries; a NaN makes min or max NaN, which fails
+    if not (p.min() >= -1e-9 and p.max() <= 1.0 + 1e-9):
         raise IntegrationError(f"iterate left [0, 1] at t={t:g}; reduce dt")
 
 
@@ -323,15 +325,22 @@ def integrate_dbmf(
     """Integrate the coupled per-degree infection ODE with classical RK4.
 
     The system is smooth and low-dimensional (one equation per degree), so
-    a fixed step suffices; the default is ``0.01/delta``.  Iterates leaving
-    [0, 1] beyond roundoff, or not finite, raise :class:`IntegrationError`.
+    a fixed step suffices; the default is ``0.01/delta``.  Every
+    ``sample_stride``-th step is sampled, and so is the last one, into
+    arrays allocated once up front.  A ``sample_stride`` that is not an
+    integer of at least 1 raises ValueError.  Iterates leaving [0, 1]
+    beyond roundoff, or not finite, raise :class:`IntegrationError`.
     """
     _require_same_support(params, state)
     if dt is None:
         dt = 0.01 / params.delta
     _require_finite_positive(t_end=t_end, dt=dt)
-    if sample_stride < 1:
-        raise ValueError("sample_stride must be at least 1")
+    try:
+        stride = operator.index(sample_stride)
+    except TypeError:
+        stride = 0  # not an integer: fails the range check below
+    if stride < 1:
+        raise ValueError("sample_stride must be an integer of at least 1")
     p = _initial_probabilities(params, p0)
 
     d = params.distribution.float_degrees
@@ -339,16 +348,20 @@ def integrate_dbmf(
     delta = params.delta
     steps = max(1, int(round(t_end / dt)))
 
-    times = [0.0]
-    samples = [p.copy()]
+    rows = steps // stride + (steps % stride != 0) + 1
+    times = np.empty(rows)
+    samples = np.empty((rows, p.size))
+    times[0], samples[0] = 0.0, p
+    row = 1
     for k in range(1, steps + 1):
         p = _rk4_step(delta, d, q_hat, p, dt)
+        # before the clip, which would hide an unstable step
         _require_unit_interval(p, k * dt)
-        p = np.clip(p, 0.0, 1.0)
-        if k % sample_stride == 0 or k == steps:
-            times.append(k * dt)
-            samples.append(p.copy())
-    return Trajectory(np.array(times), np.array(samples), params.distribution.degrees)
+        np.clip(p, 0.0, 1.0, out=p)
+        if k % stride == 0 or k == steps:
+            times[row], samples[row] = k * dt, p
+            row += 1
+    return Trajectory(times, samples, params.distribution.degrees)
 
 
 def settle_dbmf(

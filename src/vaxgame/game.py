@@ -97,6 +97,16 @@ class CandidateState(SocialState):
         self.threshold = None if threshold is None else int(threshold)
         self.fraction = f
 
+    @classmethod
+    def all_unprotected(cls, distribution: DegreeDistribution) -> "CandidateState":
+        """The top candidate: threshold d_max at its full mass."""
+        return cls(distribution, distribution.d_max)
+
+    @classmethod
+    def all_vaccinated(cls, distribution: DegreeDistribution) -> "CandidateState":
+        """The bottom candidate: everyone vaccinated."""
+        return cls(distribution, None)
+
     @property
     def is_all_vaccinated(self) -> bool:
         return self.threshold is None

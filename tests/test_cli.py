@@ -1,6 +1,7 @@
 """Scenario loading, command artifacts, determinism, error behavior."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -194,6 +195,38 @@ class TestOtherCommands:
         assert main(["solve", "dynamics", "--scenario", scenario, "--out", out]) == 0
         _, rows = read_rows(out)
         assert float(rows[-1][1]) == pytest.approx(0.5, abs=1e-6)
+
+
+class TestDenseTrajectoryMemory:
+    """A work budget for the dense ``solve dynamics`` path, not a clock.
+
+    The trajectory goes from the integrator's preallocated arrays to the
+    CSV writer as one float table, so the traced peak of a run stays near
+    two copies of the table: the samples and the table with the time
+    column.  Row copies, per-row lists of boxed floats or a list of
+    samples stacked at the end would each add copies of their own.
+    """
+
+    def test_peak_is_a_small_multiple_of_the_table(self, tmp_path):
+        obj = {
+            "distribution": {"type": "powerlaw", "d_min": 1, "d_max": 100, "beta": 3.0},
+            "delta": 2.0,
+            "dynamics": {"p0": 0.5, "t_end": 30.0, "sample_stride": 1, "state": {"threshold": 20}},
+        }
+        out = str(tmp_path / "dyn.csv")
+        args = ["solve", "dynamics", "--scenario", write_scenario(tmp_path, obj), "--out", out]
+        # a short first run imports and caches, so the traced one sees only the job
+        short = write_scenario(tmp_path, dict(obj, dynamics=dict(obj["dynamics"], t_end=0.1)), "short.json")
+        assert main(["solve", "dynamics", "--scenario", short, "--out", out]) == 0
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table_bytes = 6001 * 101 * 8  # t = 0..30 in steps of 0.01/delta, 101 degrees
+        assert len(read_rows(out)[1]) == 6001
+        assert peak <= 2.5 * table_bytes, peak / table_bytes
 
 
 class TestErrorExit:

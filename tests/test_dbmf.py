@@ -392,6 +392,23 @@ class TestDynamics:
             integrate_dbmf(params, state, 0.5, 1.0, dt=np.inf)
         with pytest.raises(ValueError, match="p0"):
             integrate_dbmf(params, state, np.nan, 1.0)
+        # 2.5 sampled every 5th step before; the row count needs an integer
+        for stride in (2.5, 2.0, 0, -1, "2"):
+            with pytest.raises(ValueError, match="sample_stride"):
+                integrate_dbmf(params, state, 0.5, 1.0, dt=0.1, sample_stride=stride)
+
+    def test_stride_that_does_not_divide_the_steps(self):
+        params = single_degree_params()
+        state = SocialState.all_unprotected(params.distribution)
+        traj = integrate_dbmf(params, state, 0.5, 5.0, dt=0.1, sample_stride=7)
+        # 50 steps: every 7th, then the last
+        steps = [0, 7, 14, 21, 28, 35, 42, 49, 50]
+        np.testing.assert_array_equal(traj.times, [k * 0.1 for k in steps])
+        every = integrate_dbmf(params, state, 0.5, 5.0, dt=0.1)
+        assert every.probabilities.shape == (51, 1)
+        np.testing.assert_array_equal(traj.probabilities, every.probabilities[steps])
+        divides = integrate_dbmf(params, state, 0.5, 5.0, dt=0.1, sample_stride=np.int64(10))
+        np.testing.assert_array_equal(divides.times, [k * 0.1 for k in range(0, 51, 10)])
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -162,6 +162,17 @@ class TestCandidateOrder:
             np.testing.assert_array_equal(cand.unprotected, want)
             assert cand.fraction == f
 
+    def test_top_and_bottom_candidates(self):
+        # the SocialState classmethods, inherited, passed an array as a threshold
+        dist = power_law(1, 10, 3.0)
+        top, bottom = CandidateState.all_unprotected(dist), CandidateState.all_vaccinated(dist)
+        assert isinstance(top, CandidateState) and isinstance(bottom, CandidateState)
+        assert (top.threshold, top.fraction) == (10, dist.mass_of(10))
+        assert (bottom.threshold, bottom.fraction) == (None, 0.0)
+        np.testing.assert_array_equal(top.unprotected, SocialState.all_unprotected(dist).unprotected)
+        np.testing.assert_array_equal(bottom.unprotected, SocialState.all_vaccinated(dist).unprotected)
+        assert compare_candidates(bottom, top) == -1
+
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
         degrees=st.lists(st.integers(1, 60), min_size=1, max_size=12, unique=True),

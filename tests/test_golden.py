@@ -16,6 +16,9 @@ by at most 1.7e-15 relative, ``threshold`` and ``fraction`` not at all.
 before threshold states got one constructor, which canonicalizes a zero
 fraction inside :class:`CandidateState` in place of the planner's own
 code; that change may not move a byte of ``opt`` either.
+``dynamics_dense_dynamics.csv`` (141 rows, more than two of the writer's
+64-row blocks) was captured before the trajectory went to the CSV as
+arrays, formatted a block at a time; no block may move a byte.
 """
 
 import csv
@@ -70,6 +73,7 @@ def test_exact_set_complete():
         "bounds_d500_bounds.csv",
         "dynamics_d100_dynamics.csv",
         "dynamics_d100_dynamics.json",
+        "dynamics_dense_dynamics.csv",
         "powerlaw_d100_opt.csv",
         "powerlaw_d100_pne.csv",
         "single_degree_opt.csv",
