@@ -269,7 +269,11 @@ def cmd_bounds(scenario: Scenario) -> tuple[list, list]:
 
 
 def cmd_dynamics(scenario: Scenario) -> tuple[list, np.ndarray]:
-    """Sampled mean-field trajectory for the configured social state, one float row per sample."""
+    """Sampled mean-field trajectory for the configured social state.
+
+    The rows are the integrator's own table, one float row per sample with
+    the time first, handed to the writer without a copy.
+    """
     opts = scenario.options.get("dynamics", {})
     params = scenario.params
     dist = scenario.distribution
@@ -294,6 +298,8 @@ def cmd_dynamics(scenario: Scenario) -> tuple[list, np.ndarray]:
     stride = opts.get("sample_stride", 1)
     if not (_is_number(p0) or (isinstance(p0, list) and all(_is_number(x) for x in p0))):
         raise ScenarioError("dynamics 'p0' must be a number or a list of numbers")
+    if isinstance(p0, list) and len(p0) != dist.size:
+        raise ScenarioError(f"dynamics 'p0' list needs one value per degree: {dist.size}, not {len(p0)}")
     if not (_is_number(t_end) and 0 < t_end < np.inf):
         raise ScenarioError("dynamics 't_end' must be a positive finite number")
     if dt is not None and not (_is_number(dt) and 0 < dt < np.inf):
@@ -302,7 +308,7 @@ def cmd_dynamics(scenario: Scenario) -> tuple[list, np.ndarray]:
         raise ScenarioError("dynamics 'sample_stride' must be an integer of at least 1")
     traj = integrate_dbmf(params, state, p0, float(t_end), None if dt is None else float(dt), stride)
     header = ["t"] + [f"p_{int(d)}" for d in traj.degrees]
-    return header, np.column_stack([traj.times, traj.probabilities])
+    return header, traj.table
 
 
 COMMANDS = {
@@ -313,7 +319,7 @@ COMMANDS = {
 }
 
 
-# Rows of a float table formatted by one %-string each.
+# Rows of a float table formatted by one %-string each, in CSV and JSON.
 CSV_BLOCK_ROWS = 64
 
 
@@ -336,14 +342,29 @@ def _write_csv(path: str, header: list, rows):
 
 
 def _write_json(path: str, header: list, rows):
-    if isinstance(rows, np.ndarray):
-        # row by row: a tolist() of the whole table would hold a nested
-        # list of it beside the array and the records
-        rows = map(np.ndarray.tolist, rows)
-    records = [dict(zip(header, row)) for row in rows]
+    """Write ``rows`` as a list of objects keyed by ``header``, indented by 2.
+
+    A float ndarray is streamed CSV_BLOCK_ROWS rows at a time, one
+    %-format per block, the same bytes as ``json.dump(records, indent=2)``:
+    each row's template holds the keys encoded by :func:`json.dumps` and a
+    ``%r`` per value, which is json's own float repr for finite floats.
+    The table is finite, since the integrator raises on a NaN or an
+    infinity.  Mixed rows go through :func:`json.dump`.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(records, fh, indent=2)
-        fh.write("\n")
+        if isinstance(rows, np.ndarray):
+            keys = (json.dumps(key).replace("%", "%%") for key in header)
+            row_format = "  {\n" + ",\n".join(f"    {key}: %r" for key in keys) + "\n  }"
+            fh.write("[\n")
+            for start in range(0, len(rows), CSV_BLOCK_ROWS):
+                block = rows[start : start + CSV_BLOCK_ROWS]
+                if start:
+                    fh.write(",\n")
+                fh.write(",\n".join([row_format] * len(block)) % tuple(block.ravel().tolist()))
+            fh.write("\n]\n")
+        else:
+            json.dump([dict(zip(header, row)) for row in rows], fh, indent=2)
+            fh.write("\n")
 
 
 def main(argv=None) -> int:

@@ -268,15 +268,27 @@ def batch_endemic_v(params: EpidemicParams, unprotected: np.ndarray) -> np.ndarr
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled solution of the mean-field ODE, one column per degree."""
+    """Sampled solution of the mean-field ODE as one float table.
 
-    times: np.ndarray
-    probabilities: np.ndarray  # shape (len(times), n_degrees)
+    ``table`` has one row per sample: the time in column 0, then one
+    infection probability per degree.  ``times``, ``probabilities`` and
+    ``final`` are views of it, not copies.
+    """
+
+    table: np.ndarray = field(repr=False)  # shape (samples, 1 + n_degrees)
     degrees: np.ndarray
 
     @property
+    def times(self) -> np.ndarray:
+        return self.table[:, 0]
+
+    @property
+    def probabilities(self) -> np.ndarray:
+        return self.table[:, 1:]
+
+    @property
     def final(self) -> np.ndarray:
-        return self.probabilities[-1]
+        return self.table[-1, 1:]
 
 
 def _ode_rhs(delta, d, q_hat, p):
@@ -307,7 +319,11 @@ def _require_finite_positive(**values):
 
 
 def _initial_probabilities(params: EpidemicParams, p0) -> np.ndarray:
-    p = np.broadcast_to(np.asarray(p0, dtype=np.float64), (params.distribution.size,)).copy()
+    """p0 as one probability per degree: a number for all, or one value each."""
+    p = np.asarray(p0, dtype=np.float64)
+    if not (p.ndim == 0 or p.shape == (params.distribution.size,)):
+        raise ValueError("p0 must be a number or one value per degree")
+    p = np.broadcast_to(p, (params.distribution.size,)).copy()
     # one "inside" test, so a NaN, which compares false both ways, fails it
     if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError("initial probabilities p0 must lie in [0, 1]")
@@ -326,10 +342,12 @@ def integrate_dbmf(
 
     The system is smooth and low-dimensional (one equation per degree), so
     a fixed step suffices; the default is ``0.01/delta``.  Every
-    ``sample_stride``-th step is sampled, and so is the last one, into
-    arrays allocated once up front.  A ``sample_stride`` that is not an
-    integer of at least 1 raises ValueError.  Iterates leaving [0, 1]
-    beyond roundoff, or not finite, raise :class:`IntegrationError`.
+    ``sample_stride``-th step is sampled, and so is the last one, into the
+    trajectory's one ``(samples, 1 + n)`` table, allocated up front.  A
+    ``sample_stride`` that is not an integer of at least 1, or a ``p0``
+    that is neither a number nor one value per degree, raises ValueError.
+    Iterates leaving [0, 1] beyond roundoff, or not finite, raise
+    :class:`IntegrationError`.
     """
     _require_same_support(params, state)
     if dt is None:
@@ -349,9 +367,8 @@ def integrate_dbmf(
     steps = max(1, int(round(t_end / dt)))
 
     rows = steps // stride + (steps % stride != 0) + 1
-    times = np.empty(rows)
-    samples = np.empty((rows, p.size))
-    times[0], samples[0] = 0.0, p
+    table = np.empty((rows, 1 + p.size))
+    table[0, 0], table[0, 1:] = 0.0, p
     row = 1
     for k in range(1, steps + 1):
         p = _rk4_step(delta, d, q_hat, p, dt)
@@ -359,9 +376,9 @@ def integrate_dbmf(
         _require_unit_interval(p, k * dt)
         np.clip(p, 0.0, 1.0, out=p)
         if k % stride == 0 or k == steps:
-            times[row], samples[row] = k * dt, p
+            table[row, 0], table[row, 1:] = k * dt, p
             row += 1
-    return Trajectory(times, samples, params.distribution.degrees)
+    return Trajectory(table, params.distribution.degrees)
 
 
 def settle_dbmf(

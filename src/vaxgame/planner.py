@@ -97,25 +97,32 @@ def social_cost(params: EpidemicParams, cost: float, state: SocialState) -> Soci
 
 
 def _golden_min(fn, a: float, b: float, width: float):
-    """Golden-section minimum of fn on [a, b]; returns the best (x, fn(x))."""
+    """Golden-section minimum of fn on [a, b]; returns the best (x, fn(x)).
+
+    Each point is evaluated once: the ends are evaluated at the close only
+    if the bracket never moved them.
+    """
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = fn(c), fn(d)
+    fa = fb = None
     best = (c, fc) if fc <= fd else (d, fd)
     while b - a > width:
         if fc <= fd:
-            b, d, fd = d, c, fc
+            b, fb, d, fd = d, fd, c, fc
             c = b - inv_phi * (b - a)
             fc = fn(c)
         else:
-            a, c, fc = c, d, fd
+            a, fa, c, fc = c, fc, d, fd
             d = a + inv_phi * (b - a)
             fd = fn(d)
         cand = (c, fc) if fc <= fd else (d, fd)
         if cand[1] < best[1]:
             best = cand
-    for x, fx in ((a, fn(a)), (b, fn(b))):
+    for x, fx in ((a, fa), (b, fb)):
+        if fx is None:
+            fx = fn(x)
         if fx < best[1]:
             best = (x, fx)
     return best

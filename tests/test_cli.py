@@ -200,33 +200,46 @@ class TestOtherCommands:
 class TestDenseTrajectoryMemory:
     """A work budget for the dense ``solve dynamics`` path, not a clock.
 
-    The trajectory goes from the integrator's preallocated arrays to the
-    CSV writer as one float table, so the traced peak of a run stays near
-    two copies of the table: the samples and the table with the time
-    column.  Row copies, per-row lists of boxed floats or a list of
-    samples stacked at the end would each add copies of their own.
+    The integrator fills one preallocated float table, time column
+    included, and both writers stream that table in blocks, so the traced
+    peak of a run stays near one copy of the table.  A stacked copy with
+    the time column, per-row lists of boxed floats or per-row dicts would
+    each add copies of their own.
     """
 
-    def test_peak_is_a_small_multiple_of_the_table(self, tmp_path):
+    # t = 0..30 in steps of 0.01/delta, 101 degrees
+    TABLE_BYTES = 6001 * 101 * 8
+
+    def traced_peak(self, tmp_path, fmt):
+        """Traced peak of the 6,001 x 101 dense job written as ``fmt``, and the output path."""
         obj = {
             "distribution": {"type": "powerlaw", "d_min": 1, "d_max": 100, "beta": 3.0},
             "delta": 2.0,
             "dynamics": {"p0": 0.5, "t_end": 30.0, "sample_stride": 1, "state": {"threshold": 20}},
         }
-        out = str(tmp_path / "dyn.csv")
-        args = ["solve", "dynamics", "--scenario", write_scenario(tmp_path, obj), "--out", out]
+        out = str(tmp_path / f"dyn.{fmt}")
+        args = ["solve", "dynamics", "--scenario", write_scenario(tmp_path, obj), "--out", out, "--format", fmt]
         # a short first run imports and caches, so the traced one sees only the job
         short = write_scenario(tmp_path, dict(obj, dynamics=dict(obj["dynamics"], t_end=0.1)), "short.json")
-        assert main(["solve", "dynamics", "--scenario", short, "--out", out]) == 0
+        assert main(["solve", "dynamics", "--scenario", short, "--out", out, "--format", fmt]) == 0
         tracemalloc.start()
         try:
             assert main(args) == 0
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        table_bytes = 6001 * 101 * 8  # t = 0..30 in steps of 0.01/delta, 101 degrees
+        return peak, out
+
+    def test_peak_is_a_small_multiple_of_the_table(self, tmp_path):
+        peak, out = self.traced_peak(tmp_path, "csv")
         assert len(read_rows(out)[1]) == 6001
-        assert peak <= 2.5 * table_bytes, peak / table_bytes
+        assert peak <= 1.5 * self.TABLE_BYTES, peak / self.TABLE_BYTES
+
+    def test_json_peak_is_a_small_multiple_of_the_table(self, tmp_path):
+        peak, out = self.traced_peak(tmp_path, "json")
+        with open(out, encoding="utf-8") as fh:
+            assert len(json.load(fh)) == 6001
+        assert peak <= 1.5 * self.TABLE_BYTES, peak / self.TABLE_BYTES
 
 
 class TestErrorExit:
@@ -392,6 +405,21 @@ class TestErrorExit:
         assert not out.exists()
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ScenarioError" and key in err["message"]
+
+    @pytest.mark.parametrize("length", [3, 11, 1])
+    def test_p0_list_needs_one_value_per_degree(self, tmp_path, capsys, length):
+        # 3 and 11 exited as a numpy broadcast error before; 1 ran, spread over all 10 degrees
+        obj = {
+            "distribution": {"type": "powerlaw", "d_min": 1, "d_max": 10, "beta": 3.0},
+            "delta": 2.0,
+            "dynamics": {"p0": [0.3] * length, "t_end": 1.0},
+        }
+        out = tmp_path / "o.csv"
+        assert main(["solve", "dynamics", "--scenario", write_scenario(tmp_path, obj), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ScenarioError"
+        assert "p0" in err["message"] and "10" in err["message"]
 
     def test_dynamics_accepts_per_degree_p0(self, tmp_path):
         obj = k4_scenario()

@@ -397,6 +397,31 @@ class TestDynamics:
             with pytest.raises(ValueError, match="sample_stride"):
                 integrate_dbmf(params, state, 0.5, 1.0, dt=0.1, sample_stride=stride)
 
+    @pytest.mark.parametrize("p0", [[0.3] * 3, [0.3] * 11, [0.3], [[0.3] * 10]], ids=["3", "11", "1", "nested"])
+    def test_p0_needs_one_value_per_degree(self, p0):
+        # 3 and 11 entries failed to broadcast before; [0.3] was spread over all 10 degrees
+        params = EpidemicParams(2.0, power_law(1, 10, 3.0))
+        state = SocialState.all_unprotected(params.distribution)
+        with pytest.raises(ValueError, match="p0 must be a number or one value per degree"):
+            integrate_dbmf(params, state, p0, 1.0)
+        with pytest.raises(ValueError, match="p0 must be a number or one value per degree"):
+            settle_dbmf(params, state, p0=p0)
+        traj = integrate_dbmf(params, state, np.linspace(0.1, 0.9, 10), 0.1)
+        np.testing.assert_array_equal(traj.table[0, 1:], np.linspace(0.1, 0.9, 10))
+
+    def test_trajectory_is_one_table(self):
+        params = EpidemicParams(2.0, power_law(1, 10, 3.0))
+        state = SocialState.all_unprotected(params.distribution)
+        traj = integrate_dbmf(params, state, 0.5, 0.7, sample_stride=3)
+        # 140 steps of 0.005: every 3rd, then the last
+        steps = [*range(0, 140, 3), 140]
+        assert traj.table.shape == (len(steps), 11)
+        for view in (traj.times, traj.probabilities, traj.final):
+            assert np.shares_memory(view, traj.table)
+        np.testing.assert_array_equal(traj.table[:, 0], [k * 0.005 for k in steps])
+        every = integrate_dbmf(params, state, 0.5, 0.7)
+        np.testing.assert_array_equal(traj.final, every.table[-1, 1:])
+
     def test_stride_that_does_not_divide_the_steps(self):
         params = single_degree_params()
         state = SocialState.all_unprotected(params.distribution)

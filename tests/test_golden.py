@@ -19,6 +19,9 @@ code; that change may not move a byte of ``opt`` either.
 ``dynamics_dense_dynamics.csv`` (141 rows, more than two of the writer's
 64-row blocks) was captured before the trajectory went to the CSV as
 arrays, formatted a block at a time; no block may move a byte.
+``dynamics_dense_dynamics.json`` (the same 141 rows, 64 + 64 + 13) was
+captured before the JSON writer streamed the table in those blocks, where
+``dynamics_d100_dynamics.json`` (61 rows) fills less than one.
 """
 
 import csv
@@ -74,6 +77,7 @@ def test_exact_set_complete():
         "dynamics_d100_dynamics.csv",
         "dynamics_d100_dynamics.json",
         "dynamics_dense_dynamics.csv",
+        "dynamics_dense_dynamics.json",
         "powerlaw_d100_opt.csv",
         "powerlaw_d100_pne.csv",
         "single_degree_opt.csv",

@@ -178,6 +178,56 @@ def exhaustive_solve(solver, cost):
     return state, social_cost(solver.params, cost, state)
 
 
+def reevaluating_golden_min(fn, a, b, width):
+    """The golden section before it carried its bracket ends' values: it
+    evaluated both ends again at the close."""
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = fn(c), fn(d)
+    best = (c, fc) if fc <= fd else (d, fd)
+    while b - a > width:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = fn(d)
+        cand = (c, fc) if fc <= fd else (d, fd)
+        if cand[1] < best[1]:
+            best = cand
+    for x, fx in ((a, fn(a)), (b, fn(b))):
+        if fx < best[1]:
+            best = (x, fx)
+    return best
+
+
+class TestGoldenMin:
+    @pytest.mark.parametrize(
+        "fn, a, b",
+        [
+            (lambda x: (x - 0.3) ** 2, 0.0, 1.0),  # convex, interior minimum
+            (lambda x: x, 0.2, 0.7),  # minimum at the left end
+            (lambda x: -x, 0.2, 0.7),  # minimum at the right end
+            (lambda x: (x - 0.3) ** 2, 0.25, 0.25 + 1e-11),  # bracket narrower than the width
+        ],
+        ids=["convex", "left-end", "right-end", "narrow"],
+    )
+    def test_each_point_evaluated_once(self, fn, a, b):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return fn(x)
+
+        best = _golden_min(counted, a, b, REFINE_WIDTH)
+        assert len(calls) == len(set(calls)), len(calls) - len(set(calls))
+        assert best == reevaluating_golden_min(fn, a, b, REFINE_WIDTH)
+        assert best[1] == fn(best[0])
+
+
 class TestPruning:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
