@@ -349,7 +349,8 @@ def _write_json(path: str, header: list, rows):
     each row's template holds the keys encoded by :func:`json.dumps` and a
     ``%r`` per value, which is json's own float repr for finite floats.
     The table is finite, since the integrator raises on a NaN or an
-    infinity.  Mixed rows go through :func:`json.dump`.
+    infinity.  Mixed rows go through strict :func:`json.dump`, with ``null``
+    for their non-finite floats.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if isinstance(rows, np.ndarray):
@@ -363,7 +364,8 @@ def _write_json(path: str, header: list, rows):
                 fh.write(",\n".join([row_format] * len(block)) % tuple(block.ravel().tolist()))
             fh.write("\n]\n")
         else:
-            json.dump([dict(zip(header, row)) for row in rows], fh, indent=2)
+            rows = [[None if isinstance(v, float) and not np.isfinite(v) else v for v in row] for row in rows]
+            json.dump([dict(zip(header, row)) for row in rows], fh, indent=2, allow_nan=False)
             fh.write("\n")
 
 

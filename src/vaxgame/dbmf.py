@@ -45,6 +45,10 @@ ROOT_TOL = 1e-12
 # Newton from v = 0 roughly doubles v per step until near the root: about
 # ten steps at delta = 0.5, one more per halving of delta (41 at 1e-9).
 NEWTON_MAX_ITER = 200
+# settle_dbmf stops once successive unit-time samples differ by less than
+# SETTLE_TOL, and gives up after SETTLE_T_MAX time units.
+SETTLE_TOL = 1e-10
+SETTLE_T_MAX = 50_000.0
 
 
 class ConsistencyError(ValueError):
@@ -150,11 +154,20 @@ class EndemicState:
         return self.v > 0.0
 
 
+def _reproductions(params: EpidemicParams, unprotected: np.ndarray) -> np.ndarray:
+    """R of each row of a C-contiguous ``(rows, n)`` array, over every degree.
+
+    A row's sum does not depend on the rows beside it, so a state is
+    endemic in a batch exactly when it is endemic alone.
+    """
+    d = params.distribution.float_degrees
+    return np.sum(d * d * unprotected, axis=1) / (params.delta * params.distribution.mean_degree)
+
+
 def reproduction(params: EpidemicParams, state: SocialState) -> float:
     """Reproduction quantity R(x) = sum d^2 x_{d,U} / (delta <d>)."""
     _require_same_support(params, state)
-    d = params.distribution.float_degrees
-    return float(np.sum(d * d * state.unprotected) / (params.delta * params.distribution.mean_degree))
+    return float(_reproductions(params, state.unprotected[None, :])[0])
 
 
 def _probabilities(params: EpidemicParams, v) -> np.ndarray:
@@ -252,11 +265,11 @@ def batch_endemic_v(params: EpidemicParams, unprotected: np.ndarray) -> np.ndarr
     :class:`ConvergenceError` carries the last iterates, zero in the
     subcritical rows.
     """
-    x = np.atleast_2d(np.asarray(unprotected, dtype=np.float64))
+    x = np.ascontiguousarray(np.atleast_2d(unprotected), dtype=np.float64)
     _require_unprotected(params.distribution, x, ndim=2)
     d, coeff = _coefficients(params, x)
     v = np.zeros(x.shape[0])
-    active = coeff.sum(axis=1) / params.delta > 1.0 + NEAR_CRITICAL_R
+    active = _reproductions(params, x) > 1.0 + NEAR_CRITICAL_R
     try:
         v[active] = _endemic_roots(params.delta, d, coeff[active], ROOT_TOL)[0]
     except ConvergenceError as exc:
@@ -381,15 +394,8 @@ def integrate_dbmf(
     return Trajectory(table, params.distribution.degrees)
 
 
-def settle_dbmf(
-    params: EpidemicParams,
-    state: SocialState,
-    p0=0.5,
-    dt: float | None = None,
-    tol: float = 1e-10,
-    t_max: float = 50_000.0,
-) -> np.ndarray:
-    """Run the ODE until successive unit-time samples differ by < tol.
+def settle_dbmf(params: EpidemicParams, state: SocialState, p0=0.5, dt: float | None = None) -> np.ndarray:
+    """Run the ODE until successive unit-time samples differ by < SETTLE_TOL.
 
     The default step is scaled to the ODE's stiffness,
     ``dt = 1.5/(delta + d_max*s)`` with ``s = sum(q_hat) <= 1`` the
@@ -406,28 +412,25 @@ def settle_dbmf(
     ``q_hat``) have mixed signs, so p goes negative, as seen on
     delta-dominated decaying states from about ``dt = 2.06/(delta +
     d_max*s)`` up.  A fixed point of the RK4 map is a fixed point of the
-    ODE, so the settled state does not depend on the step beyond ``tol``.
+    ODE, so the settled state does not depend on the step beyond SETTLE_TOL.
 
     Returns the settled per-degree probabilities.  Raises
     :class:`IntegrationError` as soon as a unit-time sample is not finite
     or lies outside [0, 1] beyond roundoff (an unstable caller-supplied
-    ``dt``), and :class:`ConvergenceError` if the horizon ``t_max`` is
-    exhausted first.
+    ``dt``), and :class:`ConvergenceError` once SETTLE_T_MAX runs out.
     """
     _require_same_support(params, state)
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     d = params.distribution.float_degrees
     q_hat = state.neighbor_weights()
     delta = params.delta
     if dt is None:
         dt = 1.5 / (delta + params.distribution.d_max * q_hat.sum())
-    _require_finite_positive(dt=dt, t_max=t_max)
+    _require_finite_positive(dt=dt)
     p = _initial_probabilities(params, p0)
 
     chunk_steps = max(1, int(round(1.0 / dt)))
     elapsed = 0.0
-    while elapsed < t_max:
+    while elapsed < SETTLE_T_MAX:
         prev = p.copy()
         for _ in range(chunk_steps):
             p = _rk4_step(delta, d, q_hat, p, dt)
@@ -435,10 +438,10 @@ def settle_dbmf(
         _require_unit_interval(p, elapsed + chunk_steps * dt)
         p = np.clip(p, 0.0, 1.0)
         elapsed += chunk_steps * dt
-        if np.max(np.abs(p - prev)) < tol:
+        if np.max(np.abs(p - prev)) < SETTLE_TOL:
             return p
     raise ConvergenceError(
-        f"dynamics not settled within t_max={t_max:g}", best=p, residual=float(np.max(np.abs(p - prev)))
+        f"dynamics not settled within {SETTLE_T_MAX:g} time units", best=p, residual=float(np.max(np.abs(p - prev)))
     )
 
 

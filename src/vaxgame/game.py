@@ -195,7 +195,6 @@ class EquilibriumResult:
     reproduction: float
     degenerate_near_critical: bool = False
     degenerate_window_tie: bool = False
-    audit_fired_cases: int | None = None
 
 
 def unprotected_cost(spec: GameSpec, state: SocialState, degree: int) -> float:
@@ -227,7 +226,6 @@ def _result_from_candidate(
     window,
     interior: bool,
     tie: bool,
-    audit: int | None,
 ) -> EquilibriumResult:
     p = _probabilities(spec.params, v)
     infected = float(np.sum(cand.unprotected * p))
@@ -246,11 +244,10 @@ def _result_from_candidate(
         reproduction=r,
         degenerate_near_critical=r <= 1.0 + NEAR_CRITICAL_R,
         degenerate_window_tie=tie,
-        audit_fired_cases=audit,
     )
 
 
-def solve_pne(spec: GameSpec, ladder: ThresholdLadder | None = None, audit: bool = False) -> EquilibriumResult:
+def solve_pne(spec: GameSpec, ladder: ThresholdLadder | None = None) -> EquilibriumResult:
     """Compute the unique pure Nash equilibrium of the vaccination game.
 
     With v_t the endemic probability of the full-threshold state at degree
@@ -262,16 +259,12 @@ def solve_pne(spec: GameSpec, ladder: ThresholdLadder | None = None, audit: bool
     the subcritical rungs (v_t = 0), so a bisection finds the first rung
     whose top reaches K and solves only the rungs it probes.  The last
     window is unbounded: with every rung subcritical, nobody vaccinates.
-    ``audit=True`` additionally walks every window and counts those
-    containing K.
 
     Parameters
     ----------
     spec : GameSpec
     ladder : ThresholdLadder, optional
         Shared cache of full-threshold endemic solves for sweeps.
-    audit : bool
-        Record the number of windows containing K (must be one).
     """
     ladder = matching_ladder(spec.params, ladder)
 
@@ -317,21 +310,7 @@ def solve_pne(spec: GameSpec, ladder: ThresholdLadder | None = None, audit: bool
         tie = abs(K - lower) <= WINDOW_SLACK or (
             math.isfinite(upper) and abs(K - upper) <= WINDOW_SLACK
         )
-
-    fired = 0 if audit else None
-    if audit:
-        prev_upper = 0.0
-        for j in range(n):
-            lower, upper = edges(j, ladder.v_at(j))
-            if lower < prev_upper - WINDOW_SLACK:
-                raise RuntimeError("window ladder is not monotone; solver tolerance breach")
-            if prev_upper < K < lower:
-                fired += 1
-            if lower <= K <= upper:
-                fired += 1
-            prev_upper = upper
-
-    return _result_from_candidate(spec, cand, v, K, window, interior, tie, fired)
+    return _result_from_candidate(spec, cand, v, K, window, interior, tie)
 
 
 @dataclass

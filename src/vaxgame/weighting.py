@@ -27,6 +27,8 @@ __all__ = [
 
 # Fixed point and inflection of every Prelec function: w(1/e) = 1/e.
 PERCEPTION_FIXED_POINT = math.exp(-1.0)
+# Interior points of the uniform grid verify_inverse_s_shape checks.
+SHAPE_GRID_SIZE = 10_000
 
 
 @dataclass(frozen=True)
@@ -153,13 +155,12 @@ class InverseSShapeReport:
     """
 
     spec: WeightingSpec
-    grid_size: int
     passed: bool
     skipped: bool
     checks: dict
 
 
-def verify_inverse_s_shape(spec: WeightingSpec, grid_size: int = 10_000) -> InverseSShapeReport:
+def verify_inverse_s_shape(spec: WeightingSpec) -> InverseSShapeReport:
     """Check the inverse-S-shape properties of a weighting on a uniform grid.
 
     Verified numerically: strict monotonicity, a single concave-to-convex
@@ -169,12 +170,10 @@ def verify_inverse_s_shape(spec: WeightingSpec, grid_size: int = 10_000) -> Inve
     derivative increasing through offsets 1e-6, 1e-9, 1e-12 and exceeding
     10 at the innermost offset; no finite grid can verify the limit).
     """
-    if grid_size < 100:
-        raise ValueError("grid_size must be at least 100")
     if spec.is_identity:
-        return InverseSShapeReport(spec, grid_size, passed=True, skipped=True, checks={})
+        return InverseSShapeReport(spec, passed=True, skipped=True, checks={})
 
-    xs = np.arange(1, grid_size + 1, dtype=np.float64) / (grid_size + 1)
+    xs = np.arange(1, SHAPE_GRID_SIZE + 1, dtype=np.float64) / (SHAPE_GRID_SIZE + 1)
     ws = weight(spec, xs)
     checks = {}
 
@@ -198,7 +197,7 @@ def verify_inverse_s_shape(spec: WeightingSpec, grid_size: int = 10_000) -> Inve
     checks["single_inflection"] = (ok_shape, first_bad)
 
     x0 = PERCEPTION_FIXED_POINT
-    step = 1.0 / (grid_size + 1)
+    step = 1.0 / (SHAPE_GRID_SIZE + 1)
     below = xs < x0 - step
     above = xs > x0 + step
     over_ok = bool(np.all(ws[below] > xs[below]))
@@ -226,4 +225,4 @@ def verify_inverse_s_shape(spec: WeightingSpec, grid_size: int = 10_000) -> Inve
     checks["endpoint_derivative_divergence"] = (ok_div, where)
 
     passed = all(ok for ok, _ in checks.values())
-    return InverseSShapeReport(spec, grid_size, passed=passed, skipped=False, checks=checks)
+    return InverseSShapeReport(spec, passed=passed, skipped=False, checks=checks)

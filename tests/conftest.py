@@ -1,15 +1,20 @@
 """Shared generators and oracles for the test suite."""
 
+import math
+
 import numpy as np
 
 from vaxgame import (
     DegreeDistribution,
     EpidemicParams,
     GameSpec,
+    ThresholdLadder,
     batch_endemic_v,
     dbmf,
     game,
+    weight_inverse,
 )
+from vaxgame.game import WINDOW_SLACK, _interior_fraction
 
 
 def random_distribution(rng, max_degrees=6, degree_pool=30):
@@ -141,6 +146,51 @@ def bisect_endemic_v(params, unprotected):
         pos = g(mid) > 0.0
         lo = np.where(pos, mid, lo)
         hi = np.where(pos, hi, mid)
+
+
+def walk_pne(spec: GameSpec, ladder=None):
+    """Reference placement of K: walk the ladder's windows rung by rung.
+
+    Independent of the solver's bisection; fills every rung.  Returns
+    ``(placement, count)``.  ``placement`` is (threshold, fraction, v,
+    window, tie) of the first window holding K up to WINDOW_SLACK, which
+    ``solve_pne`` must reproduce bit for bit.  ``count`` is the number of
+    windows holding K over every rung, interior ones with
+    prev_upper < K < lower and boundary ones with lower <= K <= upper: one
+    for a unique equilibrium.  Raises AssertionError when a lower edge
+    falls below the previous upper edge by more than WINDOW_SLACK, the
+    order the bisection relies on.
+    """
+    ladder = ThresholdLadder(spec.params) if ladder is None else ladder
+    u = weight_inverse(spec.weighting, spec.cost)
+    K = spec.params.delta * u / (1.0 - u) if u < 1.0 else math.inf
+    dist = spec.distribution
+    degrees = dist.degrees
+    n = degrees.size
+    placement, count, prev_upper = None, 0, 0.0
+    for j in range(n):
+        t = float(degrees[j])
+        v_t = ladder.v_at(j)
+        lower = t * v_t
+        upper = float(degrees[j + 1]) * v_t if j + 1 < n else math.inf
+        if lower < prev_upper - WINDOW_SLACK:
+            raise AssertionError(f"window ladder is not monotone at rung {j}: {lower!r} < {prev_upper!r}")
+        count += (prev_upper < K < lower) + (lower <= K <= upper)
+        prev_upper = upper
+        if placement is not None or (v_t == 0.0 and j + 1 < n):
+            continue
+        if K < lower - WINDOW_SLACK:
+            v_star = K / t
+            f = min(_interior_fraction(spec, j, v_star), float(dist.mass[j]))
+            top = float(degrees[j + 1]) * v_star if j + 1 < n else math.inf
+            placement = (int(t), f, v_star, (t * v_star, top), False)
+        elif K <= upper + WINDOW_SLACK:
+            tie = abs(K - lower) <= WINDOW_SLACK or (
+                math.isfinite(upper) and abs(K - upper) <= WINDOW_SLACK
+            )
+            placement = (int(t), float(dist.mass[j]), v_t, (lower, upper), tie)
+    assert placement is not None, "the last window is unbounded"
+    return placement, count
 
 
 def brute_force_pne(spec: GameSpec, grid: int = 1000):

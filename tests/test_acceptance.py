@@ -57,6 +57,7 @@ from conftest import (
     random_distribution,
     random_params,
     states_within_one_step,
+    walk_pne,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -162,8 +163,8 @@ def test_criterion_3_brute_force_equivalence():
         params = random_params(rng, dist)
         w = identity() if rng.random() < 1 / 3 else prelec(float(rng.uniform(0.3, 0.95)))
         spec = GameSpec(params, w, float(rng.uniform(0.05, 0.9)))
-        res = solve_pne(spec, audit=True)
-        all_unique &= res.audit_fired_cases == 1
+        res = solve_pne(spec)
+        all_unique &= walk_pne(spec)[1] == 1
         t, f, _ = brute_force_pne(spec, grid=1000)
         all_match &= states_within_one_step(
             dist, (t, f), (res.state.threshold, res.state.fraction)
@@ -435,7 +436,7 @@ def test_criterion_8_weighting_round_trip_and_shape():
         spec = prelec(alpha)
         err = max(abs(weight(spec, weight_inverse(spec, y)) - y) for y in grid)
         worst = max(worst, err)
-        shape_ok &= verify_inverse_s_shape(spec, 10_000).passed
+        shape_ok &= verify_inverse_s_shape(spec).passed
     ok = worst <= 1e-12 and shape_ok
     assert report(
         "criterion 8: perception round trip and inverse-S shape",

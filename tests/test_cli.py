@@ -461,6 +461,29 @@ class TestErrorExit:
         assert all(r[header.index("uninformative")] == "1" for r in rows)
         assert rows[-1][header.index("upper_w")] == "inf"
 
+    def test_json_writes_null_where_csv_has_inf(self, tmp_path):
+        obj = {
+            "distribution": {"type": "powerlaw", "d_min": 2, "d_max": 500, "beta": 3.0},
+            "delta": 2.0,
+            "cost": {"start": 0.8, "stop": 0.95, "steps": 4},
+            "bounds": {"alpha": 0.05},
+        }
+        scenario = write_scenario(tmp_path, obj)
+        out_csv, out_json = tmp_path / "o.csv", tmp_path / "o.json"
+        assert main(["solve", "bounds", "--scenario", scenario, "--out", str(out_csv)]) == 0
+        assert main(["solve", "bounds", "--scenario", scenario, "--out", str(out_json), "--format", "json"]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        records = json.loads(out_json.read_text(encoding="utf-8"), parse_constant=reject)
+        header, rows = read_rows(out_csv)
+        assert [list(r) for r in records] == [header] * len(rows)
+        nulls = [[r[key] is None for key in header] for r in records]
+        infs = [[value == "inf" for value in row] for row in rows]
+        assert nulls == infs
+        assert sum(map(sum, nulls)) == 6
+
     def test_missing_cost_for_pne(self, tmp_path, capsys):
         obj = k4_scenario()
         del obj["cost"]

@@ -127,6 +127,24 @@ class TestEndemicState:
         for row, v in zip(states, vs):
             assert v == pytest.approx(endemic_state(params, SocialState(dist, row)).v, abs=1e-10)
 
+    def test_batch_and_scalar_agree_at_the_criticality_margin(self):
+        # R within a few ulps of 1 + NEAR_CRITICAL_R, where a sum over a
+        # prefix and a sum over every degree can round to different sides
+        rng = np.random.default_rng(31)
+        for _ in range(500):
+            n = int(rng.integers(2, 41))
+            dist = power_law(1, n, float(rng.uniform(2.0, 3.0)))
+            j = int(rng.integers(0, n))
+            state = CandidateState(dist, int(dist.degrees[j]), float(rng.uniform(0.05, 1.0) * dist.mass[j]))
+            d = dist.float_degrees
+            r = (1.0 + NEAR_CRITICAL_R) * (1.0 + int(rng.integers(-8, 9)) * 2.2e-16)
+            params = EpidemicParams(float(np.sum(d * d * state.unprotected)) / (dist.mean_degree * r), dist)
+            v = endemic_state(params, state).v
+            assert batch_endemic_v(params, state.unprotected[None, :])[0] == v
+            # a wider row widens the batch's root solve, not its criticality test
+            wide = batch_endemic_v(params, np.vstack([state.unprotected, dist.mass]))
+            assert (wide[0] > 0.0) == (v > 0.0)
+
     def test_batch_exhaustion_raises_with_best_iterate(self, monkeypatch):
         rng = np.random.default_rng(13)
         dist = random_distribution(rng, max_degrees=5)
@@ -443,17 +461,26 @@ class TestDynamics:
             {"dt": np.inf},
             {"p0": 1.5},
             {"p0": np.nan},
-            {"t_max": 0.0},
-            {"t_max": -1.0},
-            {"t_max": np.inf},
-            {"tol": 0.0},
-            {"tol": -1e-10},
         ],
     )
     def test_settle_input_validation(self, kwargs):
         params = single_degree_params()
         with pytest.raises(ValueError):
             settle_dbmf(params, SocialState.all_unprotected(params.distribution), **kwargs)
+
+    def test_settle_horizon_exhausted(self, monkeypatch):
+        # rate-2 approach to p = 0.5 from 0.05: three time units leave
+        # successive samples far more than SETTLE_TOL apart
+        monkeypatch.setattr(dbmf, "SETTLE_T_MAX", 3.0)
+        params = single_degree_params()
+        state = SocialState.all_unprotected(params.distribution)
+        with pytest.raises(ConvergenceError) as info:
+            settle_dbmf(params, state, p0=0.05, dt=0.25)
+        best = info.value.best
+        assert np.all((best >= 0.0) & (best <= 1.0))
+        # the last iterate: twelve steps, none clipped
+        np.testing.assert_array_equal(best, integrate_dbmf(params, state, 0.05, 3.0, dt=0.25).final)
+        assert info.value.residual > dbmf.SETTLE_TOL
 
     def test_default_step_matches_fine_step(self):
         rng = np.random.default_rng(23)

@@ -29,7 +29,6 @@ from vaxgame import (
 )
 from vaxgame.cli import cmd_pne, load_scenario
 from vaxgame.degree import DegreeDistribution
-from vaxgame.game import WINDOW_SLACK, _interior_fraction
 
 from conftest import (
     brute_force_pne,
@@ -37,40 +36,10 @@ from conftest import (
     random_params,
     record_root_widths,
     states_within_one_step,
+    walk_pne,
 )
 
 PRELEC_05_AT_05 = 0.4349367715757099  # exp(-(ln 2)^0.5), 40-digit reference
-
-
-def walk_pne(spec, ladder):
-    """Reference placement: walk the ladder's windows rung by rung.
-
-    Returns (threshold, fraction, v, window, tie) of the first window
-    holding K, which the solver's bisection must reproduce bit for bit.
-    """
-    u = weight_inverse(spec.weighting, spec.cost)
-    K = spec.params.delta * u / (1.0 - u) if u < 1.0 else math.inf
-    dist = spec.distribution
-    degrees = dist.degrees
-    n = degrees.size
-    for j in range(n):
-        t = float(degrees[j])
-        v_t = ladder.v_at(j)
-        if v_t == 0.0 and j + 1 < n:
-            continue
-        lower = t * v_t
-        upper = float(degrees[j + 1]) * v_t if j + 1 < n else math.inf
-        if K < lower - WINDOW_SLACK:
-            v_star = K / t
-            f = min(_interior_fraction(spec, j, v_star), float(dist.mass[j]))
-            top = float(degrees[j + 1]) * v_star if j + 1 < n else math.inf
-            return int(t), f, v_star, (t * v_star, top), False
-        if K <= upper + WINDOW_SLACK:
-            tie = abs(K - lower) <= WINDOW_SLACK or (
-                math.isfinite(upper) and abs(K - upper) <= WINDOW_SLACK
-            )
-            return int(t), float(dist.mass[j]), v_t, (lower, upper), tie
-    raise AssertionError("the last window is unbounded")
 
 
 class CountingLadder(ThresholdLadder):
@@ -220,12 +189,12 @@ class TestUnprotectedCost:
 
 class TestSolvePne:
     def test_single_degree_interior_closed_form(self):
-        res = solve_pne(k4_spec(), audit=True)
+        res = solve_pne(k4_spec())
         assert res.state.threshold == 4
         assert res.state.fraction == pytest.approx(0.75, abs=1e-9)
         assert res.v == pytest.approx(0.25, abs=1e-9)
         assert res.interior
-        assert res.audit_fired_cases == 1
+        assert walk_pne(k4_spec())[1] == 1
         # indifference at the threshold
         assert res.perceived_cost_at_threshold == pytest.approx(1.0 / 3.0, abs=1e-9)
 
@@ -233,12 +202,12 @@ class TestSolvePne:
         # perceived cost at the fully unprotected state is w(0.5) = 0.5;
         # any cost at or above it keeps everyone unprotected
         for c in (0.5, 0.6, 0.9):
-            res = solve_pne(k4_spec(cost=c), audit=True)
+            res = solve_pne(k4_spec(cost=c))
             assert res.state.threshold == 4
             assert res.state.fraction == 1.0
             assert res.v == pytest.approx(0.5, abs=1e-12)
             assert not res.interior
-            assert res.audit_fired_cases == 1
+            assert walk_pne(k4_spec(cost=c))[1] == 1
             assert math.isinf(res.window[1])
 
     def test_threshold_structure_of_output(self):
@@ -299,9 +268,9 @@ class TestSolvePne:
         dist = power_law(1, 100, 3.0)
         params = EpidemicParams(2.0, dist)
         spec = GameSpec(params, prelec(0.5), 0.01)
-        res = solve_pne(spec, audit=True)
+        res = solve_pne(spec)
         assert res.interior
-        assert res.audit_fired_cases == 1
+        assert walk_pne(spec)[1] == 1
         assert res.reproduction > 1.0
         assert verify_pne(spec, res, tol=1e-8).passed
 
@@ -320,11 +289,11 @@ class TestSolvePne:
         dist = power_law(1, 50, 3.0)
         params = EpidemicParams((1.0 - eps) * dist.second_moment / dist.mean_degree, dist)
         spec = GameSpec(params, identity(), 0.3)
-        res = solve_pne(spec, audit=True)
+        res = solve_pne(spec)
         assert res.state.threshold == 50
         assert res.state.fraction == dist.mass_of(50)
         assert res.v == 0.0
-        assert res.audit_fired_cases == 1
+        assert walk_pne(spec)[1] == 1
         assert res.degenerate_near_critical
         assert verify_pne(spec, res).passed
 
@@ -332,11 +301,11 @@ class TestSolvePne:
         dist = power_law(1, 100, 3.0)
         spec = GameSpec(EpidemicParams(2.0, dist), prelec(0.05), 0.9)
         assert weight_inverse(spec.weighting, spec.cost) == 1.0
-        res = solve_pne(spec, audit=True)
+        res = solve_pne(spec)
         assert math.isinf(res.K)
         assert res.state.threshold == 100
         assert res.state.fraction == dist.mass_of(100)
-        assert res.audit_fired_cases == 1
+        assert walk_pne(spec)[1] == 1
         assert verify_pne(spec, res, tol=1e-8).passed
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -365,9 +334,9 @@ class TestSolvePne:
             if 0.0 < placed < 1.0:
                 cost = placed
         spec = GameSpec(params, w, cost)
-        res = solve_pne(spec, ladder=ladder, audit=True)
+        res = solve_pne(spec, ladder=ladder)
         got = (res.state.threshold, res.state.fraction, res.v, res.window, res.degenerate_window_tie)
-        assert got == walk_pne(spec, ladder)
+        assert got == walk_pne(spec, ladder)[0]
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -382,13 +351,22 @@ class TestSolvePne:
         mass = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
         dist = DegreeDistribution(sorted(degrees), mass / mass.sum())
         params = EpidemicParams(delta_ratio * dist.second_moment / dist.mean_degree, dist)
-        ladder = ThresholdLadder(params)
-        prev_upper = 0.0
-        for j in range(n):
-            t = float(dist.degrees[j])
-            v_t = ladder.v_at(j)
-            assert t * v_t >= prev_upper - WINDOW_SLACK, (j, t * v_t, prev_upper)
-            prev_upper = float(dist.degrees[j + 1]) * v_t if j + 1 < n else math.inf
+        # the walk checks every rung, whatever the cost
+        walk_pne(GameSpec(params, identity(), 0.5))
+
+    def test_walk_catches_a_non_monotone_ladder(self):
+        # halving v on odd rungs drops their lower edge t*v_t/2 below the
+        # previous upper edge t*v_{t-1} once the ladder saturates
+        class HalvingLadder(ThresholdLadder):
+            def v_at(self, index):
+                v = super().v_at(index)
+                return 0.5 * v if index % 2 else v
+
+        params = EpidemicParams(1.2, power_law(1, 30, 2.5))
+        spec = GameSpec(params, identity(), 0.3)
+        walk_pne(spec)
+        with pytest.raises(AssertionError, match="not monotone"):
+            walk_pne(spec, HalvingLadder(params))
 
     def test_exponent_three_sweep_at_large_d_max(self):
         dist = power_law(2, 10_000, 3.0)
@@ -414,8 +392,8 @@ class TestSolvePne:
             params = random_params(rng, dist)
             w = identity() if rng.random() < 0.5 else prelec(float(rng.uniform(0.3, 0.95)))
             spec = GameSpec(params, w, float(rng.uniform(0.05, 0.9)))
-            res = solve_pne(spec, audit=True)
-            assert res.audit_fired_cases == 1
+            res = solve_pne(spec)
+            assert walk_pne(spec)[1] == 1
             t, f, _ = brute_force_pne(spec, grid=1000)
             assert states_within_one_step(
                 dist, (t, f), (res.state.threshold, res.state.fraction)
