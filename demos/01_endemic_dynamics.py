@@ -11,7 +11,6 @@ import numpy as np
 from vaxgame import (
     CandidateState,
     EpidemicParams,
-    SocialState,
     endemic_state,
     integrate_dbmf,
     nimfa_reduction,
@@ -29,7 +28,7 @@ def main():
     print(f"persistence limit <d^2>/<d> = {dist.second_moment / dist.mean_degree:.4f}, delta = {params.delta}")
 
     # nobody vaccinates: the epidemic persists
-    everyone = SocialState.all_unprotected(dist)
+    everyone = CandidateState.all_unprotected(dist)
     r = reproduction(params, everyone)
     es = endemic_state(params, everyone)
     print(f"\nall unprotected: R = {r:.4f} -> endemic, v = {es.v:.6f}")

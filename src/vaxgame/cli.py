@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import PowerLawBoundContext, ratio_sandwich
-from .dbmf import EpidemicParams, SocialState, integrate_dbmf
+from .dbmf import EpidemicParams, TableSizeError, integrate_dbmf
 from .degree import DegreeDistribution
 from .game import CandidateState, GameSpec, ThresholdLadder, solve_pne, verify_pne
 from .planner import SocialOptimumSolver, social_cost
@@ -163,7 +163,7 @@ def cmd_pne(scenario: Scenario) -> tuple[list, list]:
         for w in scenario.weightings:
             spec = GameSpec(params, w, c)
             res = solve_pne(spec, ladder=ladder)
-            cert = verify_pne(spec, res, tol=1e-8)
+            cert = verify_pne(spec, res.state)
             if not cert.passed:
                 raise RuntimeError(
                     f"equilibrium certificate failed at c={c:g}, {w.label}: "
@@ -279,7 +279,7 @@ def cmd_dynamics(scenario: Scenario) -> tuple[list, np.ndarray]:
     dist = scenario.distribution
     state_spec = opts.get("state")
     if state_spec is None:
-        state = SocialState.all_unprotected(dist)
+        state = CandidateState.all_unprotected(dist)
     else:
         if not isinstance(state_spec, dict):
             raise ScenarioError("dynamics 'state' must be an object")
@@ -306,7 +306,10 @@ def cmd_dynamics(scenario: Scenario) -> tuple[list, np.ndarray]:
         raise ScenarioError("dynamics 'dt' must be a positive finite number")
     if type(stride) is not int or stride < 1:
         raise ScenarioError("dynamics 'sample_stride' must be an integer of at least 1")
-    traj = integrate_dbmf(params, state, p0, float(t_end), None if dt is None else float(dt), stride)
+    try:
+        traj = integrate_dbmf(params, state, p0, float(t_end), None if dt is None else float(dt), stride)
+    except TableSizeError as exc:
+        raise ScenarioError(f"dynamics trajectory too large: {exc}") from exc
     header = ["t"] + [f"p_{int(d)}" for d in traj.degrees]
     return header, traj.table
 

@@ -30,6 +30,7 @@ __all__ = [
     "ConsistencyError",
     "ConvergenceError",
     "IntegrationError",
+    "TableSizeError",
     "reproduction",
     "endemic_state",
     "batch_endemic_v",
@@ -49,6 +50,12 @@ NEWTON_MAX_ITER = 200
 # SETTLE_TOL, and gives up after SETTLE_T_MAX time units.
 SETTLE_TOL = 1e-10
 SETTLE_T_MAX = 50_000.0
+# dt*(delta + d_max*s) of the stiffness-scaled RK4 step (see settle_dbmf).
+STABLE_STEP = 1.5
+# Largest trajectory table integrate_dbmf allocates, in bytes.
+MAX_TABLE_BYTES = 2**30
+# Most degrees nimfa_reduction builds its n x n matrix for, checked before allocating.
+NIMFA_MAX_DEGREES = 4096
 
 
 class ConsistencyError(ValueError):
@@ -66,6 +73,10 @@ class ConvergenceError(RuntimeError):
 
 class IntegrationError(RuntimeError):
     """ODE step left the probability simplex; retry with a smaller dt."""
+
+
+class TableSizeError(ValueError):
+    """A trajectory table would exceed MAX_TABLE_BYTES."""
 
 
 @dataclass(frozen=True)
@@ -108,14 +119,6 @@ class SocialState:
         x.setflags(write=False)
         self.distribution = distribution
         self.unprotected = x
-
-    @classmethod
-    def all_unprotected(cls, distribution: DegreeDistribution) -> "SocialState":
-        return cls(distribution, distribution.mass.copy())
-
-    @classmethod
-    def all_vaccinated(cls, distribution: DegreeDistribution) -> "SocialState":
-        return cls(distribution, np.zeros_like(distribution.mass))
 
     @property
     def unprotected_mass(self) -> float:
@@ -353,18 +356,24 @@ def integrate_dbmf(
 ) -> Trajectory:
     """Integrate the coupled per-degree infection ODE with classical RK4.
 
-    The system is smooth and low-dimensional (one equation per degree), so
-    a fixed step suffices; the default is ``0.01/delta``.  Every
+    The system is smooth (one equation per degree), so a fixed step
+    suffices.  The default is ``0.01/delta``, or the stiffness-scaled step
+    ``STABLE_STEP/(delta + d_max*s)`` of :func:`settle_dbmf` where that is
+    smaller, which happens once ``d_max*s > 149*delta``.  Every
     ``sample_stride``-th step is sampled, and so is the last one, into the
     trajectory's one ``(samples, 1 + n)`` table, allocated up front.  A
-    ``sample_stride`` that is not an integer of at least 1, or a ``p0``
-    that is neither a number nor one value per degree, raises ValueError.
+    ``sample_stride`` that is not an integer of at least 1, a ``p0`` that
+    is neither a number nor one value per degree, or a table of more than
+    ``MAX_TABLE_BYTES`` (checked before any step) raises ValueError.
     Iterates leaving [0, 1] beyond roundoff, or not finite, raise
     :class:`IntegrationError`.
     """
     _require_same_support(params, state)
+    d = params.distribution.float_degrees
+    q_hat = state.neighbor_weights()
+    delta = params.delta
     if dt is None:
-        dt = 0.01 / params.delta
+        dt = min(0.01 / delta, STABLE_STEP / (delta + params.distribution.d_max * q_hat.sum()))
     _require_finite_positive(t_end=t_end, dt=dt)
     try:
         stride = operator.index(sample_stride)
@@ -373,13 +382,13 @@ def integrate_dbmf(
     if stride < 1:
         raise ValueError("sample_stride must be an integer of at least 1")
     p = _initial_probabilities(params, p0)
-
-    d = params.distribution.float_degrees
-    q_hat = state.neighbor_weights()
-    delta = params.delta
     steps = max(1, int(round(t_end / dt)))
 
     rows = steps // stride + (steps % stride != 0) + 1
+    size = rows * (1 + p.size) * 8
+    if size > MAX_TABLE_BYTES:
+        message = f"trajectory table of {rows:,} x {1 + p.size:,} floats needs {size / 2**30:.1f} GiB"
+        raise TableSizeError(f"{message}, over the {MAX_TABLE_BYTES / 2**30:g} GiB cap; raise sample_stride")
     table = np.empty((rows, 1 + p.size))
     table[0, 0], table[0, 1:] = 0.0, p
     row = 1
@@ -398,7 +407,7 @@ def settle_dbmf(params: EpidemicParams, state: SocialState, p0=0.5, dt: float | 
     """Run the ODE until successive unit-time samples differ by < SETTLE_TOL.
 
     The default step is scaled to the ODE's stiffness,
-    ``dt = 1.5/(delta + d_max*s)`` with ``s = sum(q_hat) <= 1`` the
+    ``dt = STABLE_STEP/(delta + d_max*s)`` with ``s = sum(q_hat) <= 1`` the
     unprotected share of edge ends.  The Jacobian
     ``-diag(delta + d*v) + ((1-p)*d) q_hat^T`` is similar, by a diagonal
     scaling, to a symmetric matrix, so its eigenvalues are real; they lie
@@ -424,7 +433,7 @@ def settle_dbmf(params: EpidemicParams, state: SocialState, p0=0.5, dt: float | 
     q_hat = state.neighbor_weights()
     delta = params.delta
     if dt is None:
-        dt = 1.5 / (delta + params.distribution.d_max * q_hat.sum())
+        dt = STABLE_STEP / (delta + params.distribution.d_max * q_hat.sum())
     _require_finite_positive(dt=dt)
     p = _initial_probabilities(params, p0)
 
@@ -461,8 +470,11 @@ class NimfaReduction:
 
 
 def nimfa_reduction(params: EpidemicParams, state: SocialState) -> NimfaReduction:
-    """Materialize the degree-class adjacency and its spectral radius."""
+    """Materialize the degree-class adjacency and its spectral radius; ValueError past NIMFA_MAX_DEGREES."""
     _require_same_support(params, state)
+    n = params.distribution.size
+    if n > NIMFA_MAX_DEGREES:
+        raise ValueError(f"nimfa_reduction builds an n x n matrix: n = {n:,}, over the cap of {NIMFA_MAX_DEGREES:,}")
     d = params.distribution.float_degrees
     q_hat = state.neighbor_weights()
     adjacency = np.outer(d, q_hat)  # entry (i, j) = d_i * q_hat_j

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dbmf import NEAR_CRITICAL_R, EpidemicParams, SocialState, _probabilities, endemic_state, reproduction
 from .degree import DegreeDistribution
-from .weighting import WeightingSpec, weight, weight_inverse
+from .weighting import WeightingSpec, identity, weight, weight_inverse
 
 __all__ = [
     "GameSpec",
@@ -40,6 +40,8 @@ __all__ = [
 # Absolute slack when placing K against window edges; ties resolve to the
 # boundary representation (fraction = full mass at the threshold).
 WINDOW_SLACK = 1e-9
+# Largest best-response violation a certified equilibrium may show.
+CERT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -161,9 +163,7 @@ def matching_ladder(params: EpidemicParams, ladder: ThresholdLadder | None) -> T
     """``ladder`` if it was built for ``params``, a fresh ladder if None.
 
     Raises ValueError for a ladder built on another curing rate or degree
-    set, whose rungs would answer for the wrong epidemic.  :func:`solve_pne`
-    and the planner both pass through here, so a game spec and a planner on
-    different epidemics fail the same way.
+    set, whose rungs would answer for the wrong epidemic.
     """
     if ladder is None:
         return ThresholdLadder(params)
@@ -320,24 +320,22 @@ class PneCertificate:
     For every degree with unprotected mass the perceived unprotected cost
     must not exceed c, and with vaccinated mass it must not fall below c.
     ``violations`` is that slack per degree, aligned with the distribution's
-    ``degrees`` (0 where neither is violated); ``max_violation`` is its maximum.
+    ``degrees`` (0 where neither is violated); ``max_violation`` is its
+    maximum, and the state passes when it is at most ``CERT_TOL``.
     """
 
     max_violation: float
     passed: bool
-    tol: float
     violations: np.ndarray = field(repr=False)
 
 
-def verify_pne(spec: GameSpec, state, tol: float = 1e-9) -> PneCertificate:
-    """Best-response check of any SocialState, or of an EquilibriumResult's state.
+def verify_pne(spec: GameSpec, state: SocialState) -> PneCertificate:
+    """Best-response check of any SocialState at ``CERT_TOL``.
 
     Re-solves the endemic state itself; TypeError for any other argument.
     """
-    if isinstance(state, EquilibriumResult):
-        state = state.state
     if not isinstance(state, SocialState):
-        raise TypeError("expected an EquilibriumResult or a SocialState")
+        raise TypeError("expected a SocialState")
     endemic = endemic_state(spec.params, state)
     w_p = weight(spec.weighting, endemic.p)
     x_u = state.unprotected
@@ -348,7 +346,7 @@ def verify_pne(spec: GameSpec, state, tol: float = 1e-9) -> PneCertificate:
         np.where(x_v > 1e-15, spec.cost - w_p, 0.0),
     )
     worst = float(viol.max())
-    return PneCertificate(worst, worst <= tol, tol, viol)
+    return PneCertificate(worst, worst <= CERT_TOL, viol)
 
 
 @dataclass(frozen=True)
@@ -368,25 +366,13 @@ class TrueVsWeightedReport:
     expected_ordering_holds: bool
 
 
-def compare_true_vs_weighted(spec_true: GameSpec, spec_weighted: GameSpec) -> TrueVsWeightedReport:
-    """Solve both games and check the cost-dependent equilibrium ordering."""
-    if not spec_true.weighting.is_identity:
-        raise ValueError("spec_true must use identity weighting")
-    if spec_true.cost != spec_weighted.cost:
-        raise ValueError("comparison requires a common vaccination cost")
-    if not spec_true.distribution.same_support(spec_weighted.distribution):
-        raise ValueError("comparison requires a common distribution")
-    if spec_true.params.delta != spec_weighted.params.delta:
-        raise ValueError("comparison requires a common curing rate")
-
-    ladder = ThresholdLadder(spec_true.params)
-    res_t = solve_pne(spec_true, ladder=ladder)
-    res_w = solve_pne(spec_weighted, ladder=ladder)
-    c = spec_true.cost
-    wc = weight(spec_weighted.weighting, c)
+def compare_true_vs_weighted(spec: GameSpec) -> TrueVsWeightedReport:
+    """Solve ``spec`` and its twin under identity weighting; check the equilibrium ordering."""
+    ladder = ThresholdLadder(spec.params)
+    res_t = solve_pne(GameSpec(spec.params, identity(), spec.cost), ladder=ladder)
+    res_w = solve_pne(spec, ladder=ladder)
+    c = spec.cost
+    wc = weight(spec.weighting, c)
     ordering = compare_candidates(res_t.state, res_w.state)
-    if c >= wc:
-        holds = ordering <= 0
-    else:
-        holds = ordering >= 0
+    holds = ordering <= 0 if c >= wc else ordering >= 0
     return TrueVsWeightedReport(res_t, res_w, c, wc, ordering, holds)

@@ -269,11 +269,9 @@ class InefficiencyReport:
     ordering_holds: bool | None
 
 
-def inefficiency(params: EpidemicParams, spec: GameSpec) -> InefficiencyReport:
-    """Compare the equilibrium against the planner's optimum.
-
-    ValueError if ``spec`` is a game on another curing rate or degree set.
-    """
+def inefficiency(spec: GameSpec) -> InefficiencyReport:
+    """Compare the equilibrium of ``spec`` against the planner's optimum of its epidemic."""
+    params = spec.params
     ladder = ThresholdLadder(params)
     pne = solve_pne(spec, ladder=ladder)
     opt_state, opt_cost = SocialOptimumSolver(params, ladder=ladder).solve(spec.cost)

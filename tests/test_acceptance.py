@@ -86,7 +86,7 @@ def sweep_table(sweep_instance):
         for c in SWEEP_COSTS:
             spec = GameSpec(params, w, c)
             res = solve_pne(spec, ladder=ladder)
-            assert verify_pne(spec, res, tol=1e-8).passed
+            assert verify_pne(spec, res.state).passed
             rows.append(res)
         table[label] = rows
     return table
@@ -413,7 +413,7 @@ def test_criterion_7_inefficiency_bound():
     for _ in range(50):
         dist = random_distribution(rng, max_degrees=5, degree_pool=25)
         params = random_params(rng, dist)
-        rep = inefficiency(params, GameSpec(params, identity(), float(rng.uniform(0.05, 0.95))))
+        rep = inefficiency(GameSpec(params, identity(), float(rng.uniform(0.05, 0.95))))
         ok &= rep.gap >= -1e-9
         ok &= rep.gap <= rep.gap_bound + 1e-12
         ok &= bool(rep.ordering_holds)

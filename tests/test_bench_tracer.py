@@ -63,7 +63,7 @@ def test_traced_dynamics_counts_rk4_steps(tmp_path):
         assert cli.main(["solve", "dynamics", "--scenario", str(scenario), "--out", str(out)]) == 0
         # the benchmark's batch calls the settle through the module, as here
         tracer.job = 1
-        dbmf.settle_dbmf(params, SocialState.all_unprotected(params.distribution))
+        dbmf.settle_dbmf(params, SocialState(params.distribution, params.distribution.mass))
     finally:
         tracer.uninstall()
     # 0.5 / (0.01 / delta) = 100 steps; the last row is the last step

@@ -1,12 +1,14 @@
 """Scenario loading, command artifacts, determinism, error behavior."""
 
 import json
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from vaxgame.cli import ScenarioError, load_scenario, main
+from vaxgame.cli import ScenarioError, cmd_dynamics, load_scenario, main
+from vaxgame.dbmf import MAX_TABLE_BYTES
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -240,6 +242,64 @@ class TestDenseTrajectoryMemory:
         with open(out, encoding="utf-8") as fh:
             assert len(json.load(fh)) == 6001
         assert peak <= 1.5 * self.TABLE_BYTES, peak / self.TABLE_BYTES
+
+
+class TestDefaultStep:
+    """``solve dynamics`` steps at min(0.01/delta, 1.5/(delta + d_max*s)) unless given a dt."""
+
+    @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+    def test_shipped_scenarios_default_step(self, path):
+        scenario = load_scenario(str(path))
+        has_block = "dynamics" in scenario.options
+        # one step, so the second time sample is the step itself
+        scenario.options.setdefault("dynamics", {})["t_end"] = 1e-9
+        _, table = cmd_dynamics(scenario)
+        assert table.shape[0] == 2
+        fixed = 0.01 / scenario.delta
+        if has_block or path.stem != "bounds_d500":
+            # the golden trajectories keep their step, and their bytes
+            assert table[1, 0] == fixed
+        else:
+            # everyone unprotected (s = 1) up to degree 500 > 149*delta
+            assert table[1, 0] == pytest.approx(1.5 / (scenario.delta + 500), rel=1e-12)
+            assert table[1, 0] < fixed
+
+    @staticmethod
+    def large_threshold_state(tmp_path, t_end, stride):
+        obj = {
+            "distribution": {"type": "powerlaw", "d_min": 1, "d_max": 10_000, "beta": 3.0},
+            "delta": 2.0,
+            "dynamics": {"p0": 0.5, "t_end": t_end, "sample_stride": stride, "state": {"threshold": 20}},
+        }
+        return write_scenario(tmp_path, obj)
+
+    def test_large_degree_set_integrates_at_the_stable_step(self, tmp_path):
+        # 0.01/delta = 0.005 left [0, 1] at the first step here
+        out = str(tmp_path / "dyn.csv")
+        scenario = self.large_threshold_state(tmp_path, 0.05, 100)
+        assert main(["solve", "dynamics", "--scenario", scenario, "--out", out]) == 0
+        _, rows = read_rows(out)
+        # dt = 1.5/(2 + 10^4*s) is about 1.55e-4: 323 steps, sampled at 0, 100, 200, 300, 323
+        assert len(rows) == 5 and len(rows[0]) == 10_001
+        assert all(0.0 <= float(v) <= 1.0 for row in rows for v in row[1:])
+
+    def test_oversized_table_is_refused_before_allocating(self, tmp_path, capsys):
+        # about 194,000 rows x 10,001 columns: 14.5 GiB
+        scenario = self.large_threshold_state(tmp_path, 30.0, 1)
+        args = ["solve", "dynamics", "--scenario", scenario, "--out", str(tmp_path / "dyn.csv")]
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            assert main(args) == 2
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ScenarioError"
+        assert "x 10,001 floats" in err["message"] and "GiB" in err["message"]
+        assert peak < MAX_TABLE_BYTES / 100, peak
+        assert elapsed < 5.0, elapsed
 
 
 class TestErrorExit:

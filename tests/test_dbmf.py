@@ -1,6 +1,7 @@
 """Mean-field machinery: reproduction, fixed point, dynamics, reduction."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,36 +44,36 @@ def single_degree_params(k=4, delta=2.0):
 class TestReproduction:
     def test_all_vaccinated_is_zero(self):
         params = single_degree_params()
-        assert reproduction(params, SocialState.all_vaccinated(params.distribution)) == 0.0
+        assert reproduction(params, SocialState(params.distribution, np.zeros(params.distribution.size))) == 0.0
 
     def test_all_unprotected_moment_ratio(self):
         dist = power_law(1, 60, 2.5)
         params = EpidemicParams(1.7, dist)
-        r = reproduction(params, SocialState.all_unprotected(dist))
+        r = reproduction(params, SocialState(dist, dist.mass))
         assert r == pytest.approx(dist.second_moment / (1.7 * dist.mean_degree), abs=1e-12)
 
     def test_single_degree_hand_value(self):
         params = single_degree_params()
         # 16 / (2 * 4) = 2
-        assert reproduction(params, SocialState.all_unprotected(params.distribution)) == 2.0
+        assert reproduction(params, SocialState(params.distribution, params.distribution.mass)) == 2.0
 
     def test_mismatched_distribution(self):
         params = single_degree_params()
         other = explicit({5: 1.0})
         with pytest.raises(ConsistencyError):
-            reproduction(params, SocialState.all_unprotected(other))
+            reproduction(params, SocialState(other, other.mass))
 
 
 class TestEndemicState:
     def test_subcritical_returns_disease_free(self):
         dist = explicit({2: 1.0})
         params = EpidemicParams(5.0, dist)  # R = 4/10 < 1
-        es = endemic_state(params, SocialState.all_unprotected(dist))
+        es = endemic_state(params, SocialState(dist, dist.mass))
         assert es.v == 0.0 and np.all(es.p == 0.0) and not es.endemic
 
     def test_single_degree_closed_form(self):
         params = single_degree_params()
-        es = endemic_state(params, SocialState.all_unprotected(params.distribution))
+        es = endemic_state(params, SocialState(params.distribution, params.distribution.mass))
         # 1 = k/(delta + k v) gives v = 1 - delta/k
         assert es.v == pytest.approx(0.5, abs=1e-12)
         assert es.p[0] == pytest.approx(0.5, abs=1e-12)
@@ -107,7 +108,7 @@ class TestEndemicState:
         for _ in range(20):
             dist = random_distribution(rng)
             params = random_params(rng, dist)
-            es = endemic_state(params, SocialState.all_unprotected(dist))
+            es = endemic_state(params, SocialState(dist, dist.mass))
             assert np.all(np.diff(es.p) >= -1e-15)
 
     def test_near_critical_flag(self):
@@ -115,7 +116,7 @@ class TestEndemicState:
         # R = 4 x / (2 delta) = 1 + 5e-13 at x = 1
         delta = 2.0 / (1.0 + 0.5 * NEAR_CRITICAL_R)
         params = EpidemicParams(delta, dist)
-        es = endemic_state(params, SocialState.all_unprotected(dist))
+        es = endemic_state(params, SocialState(dist, dist.mass))
         assert es.v == 0.0 and es.degenerate
 
     def test_batch_matches_scalar(self):
@@ -184,7 +185,7 @@ class TestEndemicState:
     def test_scalar_exhaustion_raises_with_best_iterate(self, monkeypatch):
         dist = power_law(1, 100, 3.0)
         params = EpidemicParams(2.0, dist)
-        state = SocialState.all_unprotected(dist)
+        state = SocialState(dist, dist.mass)
         root = endemic_state(params, state).v
         monkeypatch.setattr(dbmf, "NEWTON_MAX_ITER", 2)
         with pytest.raises(ConvergenceError) as info:
@@ -263,7 +264,7 @@ class TestRootOracle:
         # all unprotected at R = 1 + excess
         dist = power_law(1, d_max, 3.0)
         params = EpidemicParams(dist.second_moment / dist.mean_degree / (1.0 + excess), dist)
-        r = reproduction(params, SocialState.all_unprotected(dist))
+        r = reproduction(params, SocialState(dist, dist.mass))
         assert r - 1.0 == pytest.approx(excess, rel=1e-6)
         assert_matches_oracle(params, dist.mass)
 
@@ -356,13 +357,13 @@ class TestDynamics:
     def test_zero_initial_condition_stays_zero(self):
         dist = power_law(1, 15, 2.5)
         params = EpidemicParams(1.0, dist)
-        traj = integrate_dbmf(params, SocialState.all_unprotected(dist), 0.0, 5.0)
+        traj = integrate_dbmf(params, SocialState(dist, dist.mass), 0.0, 5.0)
         assert np.max(np.abs(traj.probabilities)) == 0.0
 
     def test_subcritical_decay(self):
         dist = explicit({1: 0.6, 3: 0.4})
         params = EpidemicParams(4.0, dist)
-        state = SocialState.all_unprotected(dist)
+        state = SocialState(dist, dist.mass)
         assert reproduction(params, state) < 1.0
         p = settle_dbmf(params, state, p0=0.9)
         assert np.max(p) < 1e-6
@@ -386,18 +387,18 @@ class TestDynamics:
     def test_trajectory_stays_in_unit_interval(self):
         dist = power_law(1, 10, 2.0)
         params = EpidemicParams(0.8, dist)
-        traj = integrate_dbmf(params, SocialState.all_unprotected(dist), 1.0, 10.0)
+        traj = integrate_dbmf(params, SocialState(dist, dist.mass), 1.0, 10.0)
         assert np.all(traj.probabilities >= 0.0) and np.all(traj.probabilities <= 1.0)
 
     def test_oversized_step_raises(self):
         dist = explicit({20: 1.0})
         params = EpidemicParams(0.5, dist)
         with pytest.raises(IntegrationError):
-            integrate_dbmf(params, SocialState.all_unprotected(dist), 0.9, 50.0, dt=1.0)
+            integrate_dbmf(params, SocialState(dist, dist.mass), 0.9, 50.0, dt=1.0)
 
     def test_input_validation(self):
         params = single_degree_params()
-        state = SocialState.all_unprotected(params.distribution)
+        state = SocialState(params.distribution, params.distribution.mass)
         with pytest.raises(ValueError):
             integrate_dbmf(params, state, 1.5, 1.0)
         with pytest.raises(ValueError):
@@ -415,11 +416,23 @@ class TestDynamics:
             with pytest.raises(ValueError, match="sample_stride"):
                 integrate_dbmf(params, state, 0.5, 1.0, dt=0.1, sample_stride=stride)
 
+    def test_oversized_table_is_refused_before_any_step(self, monkeypatch):
+        params = single_degree_params()
+        state = SocialState(params.distribution, params.distribution.mass)
+
+        def no_step(*args):
+            raise AssertionError("stepped before the size check")
+
+        monkeypatch.setattr(dbmf, "_ode_rhs", no_step)
+        # 10^8 steps of 2 floats: 1.5 GiB
+        with pytest.raises(ValueError, match=r"100,000,001 x 2 floats needs 1\.5 GiB"):
+            integrate_dbmf(params, state, 0.5, 1.0, dt=1e-8)
+
     @pytest.mark.parametrize("p0", [[0.3] * 3, [0.3] * 11, [0.3], [[0.3] * 10]], ids=["3", "11", "1", "nested"])
     def test_p0_needs_one_value_per_degree(self, p0):
         # 3 and 11 entries failed to broadcast before; [0.3] was spread over all 10 degrees
         params = EpidemicParams(2.0, power_law(1, 10, 3.0))
-        state = SocialState.all_unprotected(params.distribution)
+        state = SocialState(params.distribution, params.distribution.mass)
         with pytest.raises(ValueError, match="p0 must be a number or one value per degree"):
             integrate_dbmf(params, state, p0, 1.0)
         with pytest.raises(ValueError, match="p0 must be a number or one value per degree"):
@@ -429,7 +442,7 @@ class TestDynamics:
 
     def test_trajectory_is_one_table(self):
         params = EpidemicParams(2.0, power_law(1, 10, 3.0))
-        state = SocialState.all_unprotected(params.distribution)
+        state = SocialState(params.distribution, params.distribution.mass)
         traj = integrate_dbmf(params, state, 0.5, 0.7, sample_stride=3)
         # 140 steps of 0.005: every 3rd, then the last
         steps = [*range(0, 140, 3), 140]
@@ -442,7 +455,7 @@ class TestDynamics:
 
     def test_stride_that_does_not_divide_the_steps(self):
         params = single_degree_params()
-        state = SocialState.all_unprotected(params.distribution)
+        state = SocialState(params.distribution, params.distribution.mass)
         traj = integrate_dbmf(params, state, 0.5, 5.0, dt=0.1, sample_stride=7)
         # 50 steps: every 7th, then the last
         steps = [0, 7, 14, 21, 28, 35, 42, 49, 50]
@@ -466,14 +479,14 @@ class TestDynamics:
     def test_settle_input_validation(self, kwargs):
         params = single_degree_params()
         with pytest.raises(ValueError):
-            settle_dbmf(params, SocialState.all_unprotected(params.distribution), **kwargs)
+            settle_dbmf(params, SocialState(params.distribution, params.distribution.mass), **kwargs)
 
     def test_settle_horizon_exhausted(self, monkeypatch):
         # rate-2 approach to p = 0.5 from 0.05: three time units leave
         # successive samples far more than SETTLE_TOL apart
         monkeypatch.setattr(dbmf, "SETTLE_T_MAX", 3.0)
         params = single_degree_params()
-        state = SocialState.all_unprotected(params.distribution)
+        state = SocialState(params.distribution, params.distribution.mass)
         with pytest.raises(ConvergenceError) as info:
             settle_dbmf(params, state, p0=0.05, dt=0.25)
         best = info.value.best
@@ -497,7 +510,7 @@ class TestDynamics:
         # d_max * v is large here; a 0.01/delta step overflows
         dist = power_law(1, 300, 3.0)
         params = EpidemicParams(0.5, dist)
-        state = SocialState.all_unprotected(dist)
+        state = SocialState(dist, dist.mass)
         rk4_steps = count_rk4_steps(monkeypatch)
         p = settle_dbmf(params, state)
         np.testing.assert_allclose(p, endemic_state(params, state).p, rtol=0, atol=1e-6)
@@ -525,7 +538,7 @@ class TestDynamics:
         # the loop ran all of t_max
         dist = power_law(1, 300, 3.0)
         params = EpidemicParams(0.5, dist)
-        state = SocialState.all_unprotected(dist)
+        state = SocialState(dist, dist.mass)
         start = time.perf_counter()
         with pytest.raises(IntegrationError):
             settle_dbmf(params, state, dt=0.01 / params.delta)
@@ -535,7 +548,7 @@ class TestDynamics:
         # NaN compares false both ways, so a range test written as two
         # "outside" checks would let it through
         params = single_degree_params()
-        state = SocialState.all_unprotected(params.distribution)
+        state = SocialState(params.distribution, params.distribution.mass)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationError):
                 integrate_dbmf(params, state, 0.9, 1.0, dt=1e200)
@@ -566,13 +579,13 @@ class TestDynamics:
 class TestNimfaReduction:
     def test_all_vaccinated_zero_matrix(self):
         params = single_degree_params()
-        red = nimfa_reduction(params, SocialState.all_vaccinated(params.distribution))
+        red = nimfa_reduction(params, SocialState(params.distribution, np.zeros(params.distribution.size)))
         assert np.all(red.adjacency == 0.0)
         assert red.spectral_radius == 0.0 == red.reproduction
 
     def test_single_degree_hand_value(self):
         params = single_degree_params()
-        red = nimfa_reduction(params, SocialState.all_unprotected(params.distribution))
+        red = nimfa_reduction(params, SocialState(params.distribution, params.distribution.mass))
         # q_hat_4 = 4*1/4 = 1, adjacency [[4]], radius 4/2 = 2
         assert red.adjacency.shape == (1, 1) and red.adjacency[0, 0] == 4.0
         assert red.spectral_radius == pytest.approx(2.0, abs=1e-12)
@@ -580,9 +593,23 @@ class TestNimfaReduction:
     def test_sweep_instance_radius(self):
         dist = power_law(1, 100, 3.0)
         params = EpidemicParams(2.0, dist)
-        red = nimfa_reduction(params, SocialState.all_unprotected(dist))
+        red = nimfa_reduction(params, SocialState(dist, dist.mass))
         expected = dist.second_moment / (2.0 * dist.mean_degree)
         assert red.spectral_radius == pytest.approx(expected, abs=1e-10)
+
+    def test_refuses_large_degree_sets_before_allocating(self):
+        dist = power_law(1, 5000, 3.0)
+        params = EpidemicParams(2.0, dist)
+        state = SocialState(dist, dist.mass)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="n = 5,000, over the cap of 4,096"):
+                nimfa_reduction(params, state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 5,000 x 5,000 adjacency would take 200 MB
+        assert peak < 1_000_000, peak
 
     def test_radius_equals_reproduction_on_random_states(self):
         rng = np.random.default_rng(23)

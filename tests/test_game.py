@@ -28,6 +28,7 @@ from vaxgame import (
     weight_inverse,
 )
 from vaxgame.cli import cmd_pne, load_scenario
+from vaxgame.game import CERT_TOL
 from vaxgame.degree import DegreeDistribution
 
 from conftest import (
@@ -132,14 +133,13 @@ class TestCandidateOrder:
             assert cand.fraction == f
 
     def test_top_and_bottom_candidates(self):
-        # the SocialState classmethods, inherited, passed an array as a threshold
         dist = power_law(1, 10, 3.0)
         top, bottom = CandidateState.all_unprotected(dist), CandidateState.all_vaccinated(dist)
         assert isinstance(top, CandidateState) and isinstance(bottom, CandidateState)
         assert (top.threshold, top.fraction) == (10, dist.mass_of(10))
         assert (bottom.threshold, bottom.fraction) == (None, 0.0)
-        np.testing.assert_array_equal(top.unprotected, SocialState.all_unprotected(dist).unprotected)
-        np.testing.assert_array_equal(bottom.unprotected, SocialState.all_vaccinated(dist).unprotected)
+        np.testing.assert_array_equal(top.unprotected, dist.mass)
+        np.testing.assert_array_equal(bottom.unprotected, np.zeros(dist.size))
         assert compare_candidates(bottom, top) == -1
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -173,17 +173,17 @@ class TestCandidateOrder:
 class TestUnprotectedCost:
     def test_disease_free_is_free(self):
         spec = k4_spec()
-        state = SocialState.all_vaccinated(spec.distribution)
+        state = CandidateState.all_vaccinated(spec.distribution)
         assert unprotected_cost(spec, state, 4) == 0.0
 
     def test_single_degree_identity(self):
         spec = k4_spec()
-        state = SocialState.all_unprotected(spec.distribution)
+        state = CandidateState.all_unprotected(spec.distribution)
         assert unprotected_cost(spec, state, 4) == pytest.approx(0.5, abs=1e-12)
 
     def test_single_degree_prelec(self):
         spec = k4_spec(weighting=prelec(0.5))
-        state = SocialState.all_unprotected(spec.distribution)
+        state = CandidateState.all_unprotected(spec.distribution)
         assert unprotected_cost(spec, state, 4) == pytest.approx(PRELEC_05_AT_05, abs=1e-12)
 
 
@@ -272,7 +272,7 @@ class TestSolvePne:
         assert res.interior
         assert walk_pne(spec)[1] == 1
         assert res.reproduction > 1.0
-        assert verify_pne(spec, res, tol=1e-8).passed
+        assert verify_pne(spec, res.state).passed
 
     def test_near_critical_equilibrium_flagged(self):
         dist = power_law(1, 100, 3.0)
@@ -295,7 +295,7 @@ class TestSolvePne:
         assert res.v == 0.0
         assert walk_pne(spec)[1] == 1
         assert res.degenerate_near_critical
-        assert verify_pne(spec, res).passed
+        assert verify_pne(spec, res.state).max_violation <= 1e-9
 
     def test_inverse_weight_rounding_to_one_leaves_everyone_unprotected(self):
         dist = power_law(1, 100, 3.0)
@@ -306,7 +306,7 @@ class TestSolvePne:
         assert res.state.threshold == 100
         assert res.state.fraction == dist.mass_of(100)
         assert walk_pne(spec)[1] == 1
-        assert verify_pne(spec, res, tol=1e-8).passed
+        assert verify_pne(spec, res.state).passed
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
@@ -378,7 +378,7 @@ class TestSolvePne:
             for c in costs:
                 spec = GameSpec(params, w, float(c))
                 res = solve_pne(spec, ladder=ladder)
-                assert verify_pne(spec, res, tol=1e-8).passed, (w.label, c)
+                assert verify_pne(spec, res.state).passed, (w.label, c)
                 assert res.state.threshold >= prev, (w.label, c)
                 prev = res.state.threshold
         # bisection probes a few rungs per solve; a walk up to each
@@ -407,7 +407,7 @@ class TestVerifyPne:
             dist = random_distribution(rng)
             params = random_params(rng, dist)
             spec = GameSpec(params, prelec(0.7), float(rng.uniform(0.05, 0.95)))
-            cert = verify_pne(spec, solve_pne(spec))
+            cert = verify_pne(spec, solve_pne(spec).state)
             assert cert.max_violation <= 1e-8
 
     def test_perturbed_state_violates_somewhere(self):
@@ -427,7 +427,7 @@ class TestVerifyPne:
         assert found
 
     @staticmethod
-    def scalar_certificate(spec, social, tol):
+    def scalar_certificate(spec, social):
         """The per-degree certificate loop that the array form replaced."""
         p = endemic_state(spec.params, social).p
         by_degree, worst = {}, 0.0
@@ -442,7 +442,7 @@ class TestVerifyPne:
                 viol = max(viol, spec.cost - w_p)
             by_degree[int(degree)] = viol
             worst = max(worst, viol)
-        return worst, worst <= tol, by_degree
+        return worst, worst <= CERT_TOL, by_degree
 
     def test_matches_scalar_loop(self):
         rng = np.random.default_rng(67)
@@ -462,12 +462,12 @@ class TestVerifyPne:
                 SocialState(dist, shaved),
                 SocialState(dist, rng.uniform(0.0, 1.0, dist.size) * dist.mass),
                 CandidateState(dist, t, min(res.state.fraction * 1.1, dist.mass_of(t))),
-                SocialState.all_vaccinated(dist),
-                SocialState.all_unprotected(dist),
+                CandidateState.all_vaccinated(dist),
+                CandidateState.all_unprotected(dist),
             ]
             for social in states:
-                cert = verify_pne(spec, social, tol=1e-8)
-                worst, passed, by_degree = self.scalar_certificate(spec, social, 1e-8)
+                cert = verify_pne(spec, social)
+                worst, passed, by_degree = self.scalar_certificate(spec, social)
                 assert cert.passed == passed
                 assert cert.max_violation == pytest.approx(worst, abs=1e-15)
                 assert cert.violations.shape == (dist.size,)
@@ -477,12 +477,23 @@ class TestVerifyPne:
 
     def test_rejects_non_states(self):
         spec = k4_spec()
-        with pytest.raises(TypeError):
-            verify_pne(spec, spec.distribution.mass)
+        for other in (spec.distribution.mass, solve_pne(spec)):
+            with pytest.raises(TypeError):
+                verify_pne(spec, other)
+
+    def test_fraction_off_by_a_millionth_fails(self):
+        # CERT_TOL sees an interior threshold fraction scaled by 1 -+ 1e-6
+        params = EpidemicParams(2.0, power_law(1, 100, 3.0))
+        for spec in (k4_spec(), GameSpec(params, identity(), 0.1)):
+            res = solve_pne(spec)
+            assert res.interior
+            t, f = res.state.threshold, res.state.fraction
+            for scale in (1.0 - 1e-6, 1.0 + 1e-6):
+                assert not verify_pne(spec, CandidateState(spec.distribution, t, f * scale)).passed
 
     def test_everyone_vaccinated_violates_by_cost(self):
         spec = k4_spec(cost=0.4)
-        cert = verify_pne(spec, SocialState.all_vaccinated(spec.distribution))
+        cert = verify_pne(spec, CandidateState.all_vaccinated(spec.distribution))
         assert cert.max_violation == pytest.approx(0.4, abs=1e-15)
         assert not cert.passed
 
@@ -547,10 +558,7 @@ class TestTrueVsWeighted:
         self.params = EpidemicParams(2.0, dist)
 
     def test_fixed_point_cost_gives_equal_equilibria(self):
-        c = math.exp(-1.0)
-        rep = compare_true_vs_weighted(
-            GameSpec(self.params, identity(), c), GameSpec(self.params, prelec(0.5), c)
-        )
+        rep = compare_true_vs_weighted(GameSpec(self.params, prelec(0.5), math.exp(-1.0)))
         assert rep.ordering == 0
         assert rep.expected_ordering_holds
         assert rep.true_result.state.threshold == rep.weighted_result.state.threshold
@@ -559,21 +567,11 @@ class TestTrueVsWeighted:
         )
 
     def test_high_cost_weighted_vaccinates_less(self):
-        rep = compare_true_vs_weighted(
-            GameSpec(self.params, identity(), 0.9), GameSpec(self.params, prelec(0.5), 0.9)
-        )
+        rep = compare_true_vs_weighted(GameSpec(self.params, prelec(0.5), 0.9))
         assert rep.ordering <= 0
         assert rep.expected_ordering_holds
 
     def test_low_cost_weighted_vaccinates_more(self):
-        rep = compare_true_vs_weighted(
-            GameSpec(self.params, identity(), 0.1), GameSpec(self.params, prelec(0.5), 0.1)
-        )
+        rep = compare_true_vs_weighted(GameSpec(self.params, prelec(0.5), 0.1))
         assert rep.ordering >= 0
         assert rep.expected_ordering_holds
-
-    def test_requires_identity_on_first_spec(self):
-        with pytest.raises(ValueError):
-            compare_true_vs_weighted(
-                GameSpec(self.params, prelec(0.5), 0.5), GameSpec(self.params, prelec(0.5), 0.5)
-            )

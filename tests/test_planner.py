@@ -37,13 +37,13 @@ def k4_params(delta=2.0):
 class TestSocialCost:
     def test_everyone_vaccinated_costs_c(self):
         params = k4_params()
-        bd = social_cost(params, 0.3, SocialState.all_vaccinated(params.distribution))
+        bd = social_cost(params, 0.3, CandidateState.all_vaccinated(params.distribution))
         assert bd.total == pytest.approx(0.3, abs=1e-15)
         assert bd.infected_term == 0.0
 
     def test_single_degree_all_unprotected(self):
         params = k4_params()
-        bd = social_cost(params, 1.0 / 3.0, SocialState.all_unprotected(params.distribution))
+        bd = social_cost(params, 1.0 / 3.0, CandidateState.all_unprotected(params.distribution))
         assert bd.total == pytest.approx(0.5, abs=1e-12)
         assert bd.infected_term == pytest.approx(0.5, abs=1e-12)
         assert bd.vaccination_term == 0.0
@@ -74,7 +74,7 @@ class TestSocialCost:
     def test_cost_domain(self):
         params = k4_params()
         with pytest.raises(ValueError):
-            social_cost(params, 1.0, SocialState.all_vaccinated(params.distribution))
+            social_cost(params, 1.0, CandidateState.all_vaccinated(params.distribution))
 
 
 class TestSocialOptimum:
@@ -104,7 +104,7 @@ class TestSocialOptimum:
         # uncontrolled epidemic costs less
         params = k4_params()
         state, bd = solve_social_optimum(params, 0.9)
-        no_vax = social_cost(params, 0.9, SocialState.all_unprotected(params.distribution))
+        no_vax = social_cost(params, 0.9, CandidateState.all_unprotected(params.distribution))
         assert not state.is_all_vaccinated
         assert bd.total <= no_vax.total + 1e-12
         assert bd.total < 0.9
@@ -333,8 +333,12 @@ class TestPruning:
             ref_state.fraction,
             ref_bd.total,
         )
-        with pytest.raises(ValueError):
-            SocialOptimumSolver(EpidemicParams(2.5, dist), ladder=ladder)
+        # the planner and the equilibrium refuse a ladder of another epidemic alike
+        for other in (EpidemicParams(2.5, dist), EpidemicParams(2.0, power_law(1, 39, 3.0))):
+            with pytest.raises(ValueError, match="curing rate or degree set"):
+                SocialOptimumSolver(other, ladder=ladder)
+            with pytest.raises(ValueError, match="curing rate or degree set"):
+                solve_pne(GameSpec(other, identity(), 0.5), ladder=ladder)
 
     def test_eradication_boundary_at_d_max_1000(self):
         params = EpidemicParams(2.0, power_law(1, 1000, 3.0))
@@ -349,7 +353,7 @@ class TestPruning:
 class TestInefficiency:
     def test_k4_identity_gap_within_bound(self):
         params = k4_params()
-        rep = inefficiency(params, GameSpec(params, identity(), 1.0 / 3.0))
+        rep = inefficiency(GameSpec(params, identity(), 1.0 / 3.0))
         assert rep.gap >= -1e-9
         assert rep.gap_bound == pytest.approx(2.0)
         assert rep.gap <= rep.gap_bound
@@ -359,29 +363,22 @@ class TestInefficiency:
         # c = 0.1 < w(0.1) under prelec, the ordering hypothesis fails
         dist = power_law(1, 30, 2.5)
         params = EpidemicParams(1.5, dist)
-        rep = inefficiency(params, GameSpec(params, prelec(0.5), 0.1))
+        rep = inefficiency(GameSpec(params, prelec(0.5), 0.1))
         assert not rep.ordering_checked
         assert rep.ordering_holds is None
 
     def test_ordering_checked_for_underweighted_cost(self):
         dist = power_law(1, 30, 2.5)
         params = EpidemicParams(1.5, dist)
-        rep = inefficiency(params, GameSpec(params, prelec(0.5), 0.8))
+        rep = inefficiency(GameSpec(params, prelec(0.5), 0.8))
         assert rep.ordering_checked and rep.ordering_holds
-
-    def test_rejects_a_game_on_another_epidemic(self):
-        # the equilibrium and the optimum must answer for one epidemic
-        params = EpidemicParams(1.5, power_law(1, 30, 2.5))
-        for other in (EpidemicParams(1.4, params.distribution), EpidemicParams(1.5, power_law(1, 29, 2.5))):
-            with pytest.raises(ValueError, match="curing rate or degree set"):
-                inefficiency(params, GameSpec(other, identity(), 0.5))
 
     def test_random_identity_instances(self):
         rng = np.random.default_rng(83)
         for _ in range(8):
             dist = random_distribution(rng, max_degrees=5)
             params = random_params(rng, dist)
-            rep = inefficiency(params, GameSpec(params, identity(), float(rng.uniform(0.1, 0.9))))
+            rep = inefficiency(GameSpec(params, identity(), float(rng.uniform(0.1, 0.9))))
             assert rep.gap >= -1e-9
             assert rep.gap <= rep.gap_bound
             assert rep.ordering_holds
