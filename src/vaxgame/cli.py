@@ -17,7 +17,10 @@ machine-readable error object on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
+import stat
 import sys
 from dataclasses import dataclass
 
@@ -268,11 +271,14 @@ def cmd_bounds(scenario: Scenario) -> tuple[list, list]:
     return header, rows
 
 
-def cmd_dynamics(scenario: Scenario) -> tuple[list, np.ndarray]:
+def cmd_dynamics(scenario: Scenario, stream=None) -> tuple[list, np.ndarray | None]:
     """Sampled mean-field trajectory for the configured social state.
 
-    The rows are the integrator's own table, one float row per sample with
-    the time first, handed to the writer without a copy.
+    The rows are float rows, one per sample with the time first.  Without
+    ``stream`` they are the integrator's own table.  With it, a function
+    from the header to a block sink with a ``close`` method, each block
+    goes to that sink as the integrator fills it, the sink is closed after
+    the last, and no rows are returned.
     """
     opts = scenario.options.get("dynamics", {})
     params = scenario.params
@@ -306,12 +312,16 @@ def cmd_dynamics(scenario: Scenario) -> tuple[list, np.ndarray]:
         raise ScenarioError("dynamics 'dt' must be a positive finite number")
     if type(stride) is not int or stride < 1:
         raise ScenarioError("dynamics 'sample_stride' must be an integer of at least 1")
+    header = ["t"] + [f"p_{int(d)}" for d in dist.degrees]
+    sink = None if stream is None else stream(header)
     try:
-        traj = integrate_dbmf(params, state, p0, float(t_end), None if dt is None else float(dt), stride)
+        traj = integrate_dbmf(params, state, p0, float(t_end), None if dt is None else float(dt), stride, sink)
     except TableSizeError as exc:
         raise ScenarioError(f"dynamics trajectory too large: {exc}") from exc
-    header = ["t"] + [f"p_{int(d)}" for d in traj.degrees]
-    return header, traj.table
+    if sink is None:
+        return header, traj.table
+    sink.close()
+    return header, None
 
 
 COMMANDS = {
@@ -322,54 +332,114 @@ COMMANDS = {
 }
 
 
-# Rows of a float table formatted by one %-string each, in CSV and JSON.
-CSV_BLOCK_ROWS = 64
+class _Artifact:
+    """The ``--out`` file, written through a temporary file beside it.
 
-
-def _write_csv(path: str, header: list, rows):
-    """Write the header, then ``rows``: a float ndarray or a list of mixed rows.
-
-    An ndarray is written CSV_BLOCK_ROWS rows at a time, one "%.17g"
-    %-format per block, the same bytes as :func:`_fmt` on each value.
+    The temporary is created at the first :meth:`write`, with the
+    permissions ``open(path, "w")`` gives (an existing file's mode bits
+    are kept), and renamed over the target when the ``with`` block exits
+    cleanly.  On an error it is removed, so the target stays as it was.  A
+    target that exists but is no regular file at its resolved path, such
+    as ``/dev/stdout`` on a terminal, a pipe or an unlinked file, is
+    written in place.  A symbolic link stays, and its target is replaced.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        if isinstance(rows, np.ndarray):
-            row_format = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-            for start in range(0, len(rows), CSV_BLOCK_ROWS):
-                block = rows[start : start + CSV_BLOCK_ROWS]
-                fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
+
+    def __init__(self, path: str):
+        self.path = path
+        self._fh = None
+        self._tmp = None
+
+    def write(self, text: str):
+        if self._fh is None:
+            self._open()
+        self._fh.write(text)
+
+    def _open(self):
+        self._target = os.path.realpath(self.path)
+        try:
+            st = os.stat(self.path)
+        except FileNotFoundError:
+            st = None
+        if st is not None and not self._names_regular_file(st):
+            self._fh = open(self.path, "w", encoding="utf-8", newline="\n")
+            return
+        directory, name = os.path.split(self._target)
+        self._tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+        self._fh = open(self._tmp, "x", encoding="utf-8", newline="\n")
+        if st is not None:
+            os.chmod(self._tmp, stat.S_IMODE(st.st_mode))
+
+    def _names_regular_file(self, st: os.stat_result) -> bool:
+        """Whether the resolved target path is the regular file ``st`` describes."""
+        try:
+            return stat.S_ISREG(st.st_mode) and os.path.samestat(st, os.stat(self._target))
+        except FileNotFoundError:  # an unlinked file reached through /proc/self/fd
+            return False
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if self._fh is None:
+            return
+        try:
+            self._fh.close()
+            if exc_type is None and self._tmp is not None:
+                os.replace(self._tmp, self._target)
+                self._tmp = None
+        finally:
+            if self._tmp is not None:
+                os.unlink(self._tmp)
+
+
+class _TableSink:
+    """Block sink that formats float rows straight into ``out`` as CSV or JSON.
+
+    Each block is one %-format.  In CSV that is "%.17g" per value, the
+    same bytes as :func:`_fmt`.  In JSON each row's template holds the
+    keys encoded by :func:`json.dumps` and a ``%r`` per value, which is
+    json's own float repr for finite floats, so the bytes are those of
+    ``json.dump(records, indent=2)``.  The rows are finite, since the
+    integrator raises on a NaN or an infinity.  The CSV header, or the
+    JSON opening bracket, goes out with the first block, so a run refused
+    before it writes nothing; :meth:`close` ends the artifact.
+    """
+
+    def __init__(self, out, fmt: str, header: list):
+        self.out = out
+        self.started = False
+        if fmt == "csv":
+            self.opening, self.separator, self.closing = ",".join(header) + "\n", "", ""
+            self.row_format = ",".join(["%.17g"] * len(header)) + "\n"
         else:
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            self.opening, self.separator, self.closing = "[\n", ",\n", "\n]\n"
+            keys = (json.dumps(key).replace("%", "%%") for key in header)
+            self.row_format = "  {\n" + ",\n".join(f"    {key}: %r" for key in keys) + "\n  }"
+
+    def __call__(self, block: np.ndarray):
+        self.out.write(self.separator if self.started else self.opening)
+        self.started = True
+        self.out.write(self.separator.join([self.row_format] * len(block)) % tuple(block.ravel().tolist()))
+
+    def close(self):
+        self.out.write(self.closing)
 
 
-def _write_json(path: str, header: list, rows):
+def _write_csv(out, header: list, rows: list):
+    """Write the header, then one line of :func:`_fmt` values per row."""
+    out.write(",".join(header) + "\n")
+    for row in rows:
+        out.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _write_json(out, header: list, rows: list):
     """Write ``rows`` as a list of objects keyed by ``header``, indented by 2.
 
-    A float ndarray is streamed CSV_BLOCK_ROWS rows at a time, one
-    %-format per block, the same bytes as ``json.dump(records, indent=2)``:
-    each row's template holds the keys encoded by :func:`json.dumps` and a
-    ``%r`` per value, which is json's own float repr for finite floats.
-    The table is finite, since the integrator raises on a NaN or an
-    infinity.  Mixed rows go through strict :func:`json.dump`, with ``null``
-    for their non-finite floats.
+    Strict :func:`json.dump`, with ``null`` for non-finite floats.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if isinstance(rows, np.ndarray):
-            keys = (json.dumps(key).replace("%", "%%") for key in header)
-            row_format = "  {\n" + ",\n".join(f"    {key}: %r" for key in keys) + "\n  }"
-            fh.write("[\n")
-            for start in range(0, len(rows), CSV_BLOCK_ROWS):
-                block = rows[start : start + CSV_BLOCK_ROWS]
-                if start:
-                    fh.write(",\n")
-                fh.write(",\n".join([row_format] * len(block)) % tuple(block.ravel().tolist()))
-            fh.write("\n]\n")
-        else:
-            rows = [[None if isinstance(v, float) and not np.isfinite(v) else v for v in row] for row in rows]
-            json.dump([dict(zip(header, row)) for row in rows], fh, indent=2, allow_nan=False)
-            fh.write("\n")
+    rows = [[None if isinstance(v, float) and not np.isfinite(v) else v for v in row] for row in rows]
+    json.dump([dict(zip(header, row)) for row in rows], out, indent=2, allow_nan=False)
+    out.write("\n")
 
 
 def main(argv=None) -> int:
@@ -384,11 +454,13 @@ def main(argv=None) -> int:
 
     try:
         scenario = load_scenario(args.scenario)
-        header, rows = COMMANDS[args.what](scenario)
-        if args.format == "csv":
-            _write_csv(args.out, header, rows)
-        else:
-            _write_json(args.out, header, rows)
+        with _Artifact(args.out) as out:
+            if args.what == "dynamics":
+                # formatted block by block as the integrator fills them
+                COMMANDS[args.what](scenario, functools.partial(_TableSink, out, args.format))
+            else:
+                header, rows = COMMANDS[args.what](scenario)
+                (_write_csv if args.format == "csv" else _write_json)(out, header, rows)
     except Exception as exc:  # noqa: BLE001 - single exit funnel for the CLI
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),

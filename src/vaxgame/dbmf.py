@@ -52,8 +52,10 @@ SETTLE_TOL = 1e-10
 SETTLE_T_MAX = 50_000.0
 # dt*(delta + d_max*s) of the stiffness-scaled RK4 step (see settle_dbmf).
 STABLE_STEP = 1.5
-# Largest trajectory table integrate_dbmf allocates, in bytes.
+# Largest trajectory table integrate_dbmf fills or streams, in bytes.
 MAX_TABLE_BYTES = 2**30
+# Rows of each block integrate_dbmf passes to a sink.
+BLOCK_ROWS = 64
 # Most degrees nimfa_reduction builds its n x n matrix for, checked before allocating.
 NIMFA_MAX_DEGREES = 4096
 
@@ -353,19 +355,25 @@ def integrate_dbmf(
     t_end: float,
     dt: float | None = None,
     sample_stride: int = 1,
-) -> Trajectory:
+    sink=None,
+) -> Trajectory | None:
     """Integrate the coupled per-degree infection ODE with classical RK4.
 
     The system is smooth (one equation per degree), so a fixed step
     suffices.  The default is ``0.01/delta``, or the stiffness-scaled step
     ``STABLE_STEP/(delta + d_max*s)`` of :func:`settle_dbmf` where that is
     smaller, which happens once ``d_max*s > 149*delta``.  Every
-    ``sample_stride``-th step is sampled, and so is the last one, into the
-    trajectory's one ``(samples, 1 + n)`` table, allocated up front.  A
+    ``sample_stride``-th step is sampled, and so is the last one, into
+    ``(samples, 1 + n)`` rows: the time, then one probability per degree.
+    Without a ``sink`` the rows fill one table, allocated up front, and
+    the trajectory is returned.  With one, they fill one reused
+    ``(BLOCK_ROWS, 1 + n)`` buffer, each full block and then the last,
+    partial or full, goes to ``sink(block)``, and None is returned.  A
+    block shares that buffer's memory and is valid only during the call.  A
     ``sample_stride`` that is not an integer of at least 1, a ``p0`` that
     is neither a number nor one value per degree, or a table of more than
-    ``MAX_TABLE_BYTES`` (checked before any step) raises ValueError.
-    Iterates leaving [0, 1] beyond roundoff, or not finite, raise
+    ``MAX_TABLE_BYTES``, streamed or not, raises ValueError before any
+    step.  Iterates leaving [0, 1] beyond roundoff, or not finite, raise
     :class:`IntegrationError`.
     """
     _require_same_support(params, state)
@@ -389,8 +397,9 @@ def integrate_dbmf(
     if size > MAX_TABLE_BYTES:
         message = f"trajectory table of {rows:,} x {1 + p.size:,} floats needs {size / 2**30:.1f} GiB"
         raise TableSizeError(f"{message}, over the {MAX_TABLE_BYTES / 2**30:g} GiB cap; raise sample_stride")
-    table = np.empty((rows, 1 + p.size))
-    table[0, 0], table[0, 1:] = 0.0, p
+    # without a sink the buffer is the whole table and never fills early
+    buffer = np.empty((rows if sink is None else min(rows, BLOCK_ROWS), 1 + p.size))
+    buffer[0, 0], buffer[0, 1:] = 0.0, p
     row = 1
     for k in range(1, steps + 1):
         p = _rk4_step(delta, d, q_hat, p, dt)
@@ -398,9 +407,15 @@ def integrate_dbmf(
         _require_unit_interval(p, k * dt)
         np.clip(p, 0.0, 1.0, out=p)
         if k % stride == 0 or k == steps:
-            table[row, 0], table[row, 1:] = k * dt, p
+            if row == len(buffer):
+                sink(buffer)
+                row = 0
+            buffer[row, 0], buffer[row, 1:] = k * dt, p
             row += 1
-    return Trajectory(table, params.distribution.degrees)
+    if sink is None:
+        return Trajectory(buffer, params.distribution.degrees)
+    sink(buffer[:row])
+    return None
 
 
 def settle_dbmf(params: EpidemicParams, state: SocialState, p0=0.5, dt: float | None = None) -> np.ndarray:

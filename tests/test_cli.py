@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from vaxgame.cli import ScenarioError, cmd_dynamics, load_scenario, main
-from vaxgame.dbmf import MAX_TABLE_BYTES
+from vaxgame.dbmf import BLOCK_ROWS, MAX_TABLE_BYTES
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -202,22 +202,22 @@ class TestOtherCommands:
 class TestDenseTrajectoryMemory:
     """A work budget for the dense ``solve dynamics`` path, not a clock.
 
-    The integrator fills one preallocated float table, time column
-    included, and both writers stream that table in blocks, so the traced
-    peak of a run stays near one copy of the table.  A stacked copy with
-    the time column, per-row lists of boxed floats or per-row dicts would
-    each add copies of their own.
+    The integrator passes each 64-row block of the float table, time
+    column included, to a sink that formats it straight into the output,
+    so the traced peak of a run stays below a fraction of one table, at
+    any row count.  A whole table, per-row lists of boxed floats or
+    per-row dicts would each grow with the rows.
     """
 
     # t = 0..30 in steps of 0.01/delta, 101 degrees
     TABLE_BYTES = 6001 * 101 * 8
 
-    def traced_peak(self, tmp_path, fmt):
-        """Traced peak of the 6,001 x 101 dense job written as ``fmt``, and the output path."""
+    def traced_peak(self, tmp_path, fmt, t_end=30.0):
+        """Traced peak of the dense 101-degree job to ``t_end`` written as ``fmt``, and the output path."""
         obj = {
             "distribution": {"type": "powerlaw", "d_min": 1, "d_max": 100, "beta": 3.0},
             "delta": 2.0,
-            "dynamics": {"p0": 0.5, "t_end": 30.0, "sample_stride": 1, "state": {"threshold": 20}},
+            "dynamics": {"p0": 0.5, "t_end": t_end, "sample_stride": 1, "state": {"threshold": 20}},
         }
         out = str(tmp_path / f"dyn.{fmt}")
         args = ["solve", "dynamics", "--scenario", write_scenario(tmp_path, obj), "--out", out, "--format", fmt]
@@ -242,6 +242,18 @@ class TestDenseTrajectoryMemory:
         with open(out, encoding="utf-8") as fh:
             assert len(json.load(fh)) == 6001
         assert peak <= 1.5 * self.TABLE_BYTES, peak / self.TABLE_BYTES
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("t_end, rows", [(30.0, 6001), (120.0, 24001)])
+    def test_streamed_peak_does_not_grow_with_the_rows(self, tmp_path, fmt, t_end, rows):
+        peak, out = self.traced_peak(tmp_path, fmt, t_end)
+        with open(out, encoding="utf-8") as fh:
+            if fmt == "csv":
+                assert sum(1 for _ in fh) == rows + 1
+            else:
+                assert len(json.load(fh)) == rows
+        # a fixed budget at both row counts: the block, not the row count, sets the peak
+        assert peak <= 0.25 * self.TABLE_BYTES, peak / self.TABLE_BYTES
 
 
 class TestDefaultStep:
@@ -300,6 +312,56 @@ class TestDefaultStep:
         assert "x 10,001 floats" in err["message"] and "GiB" in err["message"]
         assert peak < MAX_TABLE_BYTES / 100, peak
         assert elapsed < 5.0, elapsed
+
+
+class TestArtifact:
+    """``--out`` is replaced only by a finished artifact, as ``open(path, "w")`` would write it."""
+
+    @staticmethod
+    def dynamics_scenario(tmp_path, **dynamics):
+        obj = {
+            "distribution": {"type": "powerlaw", "d_min": 1, "d_max": 10, "beta": 3.0},
+            "delta": 0.5,
+            "dynamics": dict({"p0": 0.5}, **dynamics),
+        }
+        return write_scenario(tmp_path, obj)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failure_mid_stream_leaves_no_artifact(self, tmp_path, capsys, fmt):
+        # everyone unprotected; dt = 0.404 is unstable here and leaves [0, 1] late
+        scenario = self.dynamics_scenario(tmp_path, dt=0.404, t_end=400.0)
+        directory = tmp_path / "out"
+        directory.mkdir()
+        out = directory / f"dyn.{fmt}"
+        out.write_bytes(b"sentinel")
+        assert main(["solve", "dynamics", "--scenario", scenario, "--out", str(out), "--format", fmt]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "IntegrationError"
+        t = float(err["message"].split("t=")[1].split(";")[0])
+        # blocks were streamed before the failing step (139, t = 56.156)
+        assert round(t / 0.404) > BLOCK_ROWS
+        assert out.read_bytes() == b"sentinel"
+        assert [p.name for p in directory.iterdir()] == [out.name]
+
+    def test_existing_file_keeps_its_mode_and_a_link_stays(self, tmp_path):
+        scenario = self.dynamics_scenario(tmp_path, t_end=0.1)
+        target, link = tmp_path / "dyn.csv", tmp_path / "link.csv"
+        target.write_bytes(b"old")
+        target.chmod(0o604)
+        link.symlink_to(target.name)
+        assert main(["solve", "dynamics", "--scenario", scenario, "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.stat().st_mode & 0o777 == 0o604
+        assert target.read_text(encoding="utf-8").startswith("t,p_1,")
+
+    @pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="no /dev/stdout")
+    def test_non_regular_target_is_written_in_place(self, tmp_path, capfd):
+        # the captured stdout is an unlinked file, which has no path to rename over
+        scenario = self.dynamics_scenario(tmp_path, t_end=0.1)
+        out = tmp_path / "dyn.csv"
+        assert main(["solve", "dynamics", "--scenario", scenario, "--out", str(out)]) == 0
+        assert main(["solve", "dynamics", "--scenario", scenario, "--out", "/dev/stdout"]) == 0
+        assert capfd.readouterr().out == out.read_text(encoding="utf-8")
 
 
 class TestErrorExit:

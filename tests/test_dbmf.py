@@ -467,6 +467,23 @@ class TestDynamics:
         np.testing.assert_array_equal(divides.times, [k * 0.1 for k in range(0, 51, 10)])
 
     @pytest.mark.parametrize(
+        "steps, stride, rows",
+        [(62, 1, 63), (63, 1, 64), (64, 1, 65), (127, 1, 128), (128, 1, 129), (190, 3, 65)],
+    )
+    def test_sink_blocks_are_the_table(self, steps, stride, rows):
+        params = EpidemicParams(2.0, power_law(1, 10, 3.0))
+        state = SocialState(params.distribution, params.distribution.mass)
+        dt = 2.0**-8  # steps * dt is exact
+        table = integrate_dbmf(params, state, 0.5, steps * dt, dt, stride).table
+        assert len(table) == rows
+        blocks = []
+        # the sink's block is a reused buffer, so it is copied
+        assert integrate_dbmf(params, state, 0.5, steps * dt, dt, stride, lambda b: blocks.append(b.copy())) is None
+        assert [len(b) for b in blocks[:-1]] == [dbmf.BLOCK_ROWS] * (len(blocks) - 1)
+        assert 0 < len(blocks[-1]) <= dbmf.BLOCK_ROWS
+        assert np.concatenate(blocks).tobytes() == table.tobytes()
+
+    @pytest.mark.parametrize(
         "kwargs",
         [
             {"dt": 0.0},
