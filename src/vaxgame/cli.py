@@ -17,7 +17,7 @@ machine-readable error object on stderr.
 from __future__ import annotations
 
 import argparse
-import functools
+import errno
 import json
 import os
 import stat
@@ -271,14 +271,12 @@ def cmd_bounds(scenario: Scenario) -> tuple[list, list]:
     return header, rows
 
 
-def cmd_dynamics(scenario: Scenario, stream=None) -> tuple[list, np.ndarray | None]:
-    """Sampled mean-field trajectory for the configured social state.
+def cmd_dynamics(scenario: Scenario, out, fmt: str):
+    """Write the sampled mean-field trajectory for the configured social state.
 
-    The rows are float rows, one per sample with the time first.  Without
-    ``stream`` they are the integrator's own table.  With it, a function
-    from the header to a block sink with a ``close`` method, each block
-    goes to that sink as the integrator fills it, the sink is closed after
-    the last, and no rows are returned.
+    One float row per sample, the time first, goes to ``out`` as ``fmt``
+    ("csv" or "json"), formatted block by block as the integrator fills
+    them, so the whole table is never held.
     """
     opts = scenario.options.get("dynamics", {})
     params = scenario.params
@@ -313,15 +311,12 @@ def cmd_dynamics(scenario: Scenario, stream=None) -> tuple[list, np.ndarray | No
     if type(stride) is not int or stride < 1:
         raise ScenarioError("dynamics 'sample_stride' must be an integer of at least 1")
     header = ["t"] + [f"p_{int(d)}" for d in dist.degrees]
-    sink = None if stream is None else stream(header)
+    sink = _TableSink(out, fmt, header)
     try:
-        traj = integrate_dbmf(params, state, p0, float(t_end), None if dt is None else float(dt), stride, sink)
+        integrate_dbmf(params, state, p0, float(t_end), None if dt is None else float(dt), stride, sink)
     except TableSizeError as exc:
         raise ScenarioError(f"dynamics trajectory too large: {exc}") from exc
-    if sink is None:
-        return header, traj.table
     sink.close()
-    return header, None
 
 
 COMMANDS = {
@@ -338,7 +333,9 @@ class _Artifact:
     The temporary is created at the first :meth:`write`, with the
     permissions ``open(path, "w")`` gives (an existing file's mode bits
     are kept), and renamed over the target when the ``with`` block exits
-    cleanly.  On an error it is removed, so the target stays as it was.  A
+    cleanly.  On an error it is removed, so the target stays as it was.
+    An existing target that is not writable is refused, and an error in
+    creating the temporary names the target, as ``open`` would.  A
     target that exists but is no regular file at its resolved path, such
     as ``/dev/stdout`` on a terminal, a pipe or an unlinked file, is
     written in place.  A symbolic link stays, and its target is replaced.
@@ -363,9 +360,16 @@ class _Artifact:
         if st is not None and not self._names_regular_file(st):
             self._fh = open(self.path, "w", encoding="utf-8", newline="\n")
             return
+        if st is not None and not os.access(self._target, os.W_OK):
+            # the rename would only need the directory; open(path, "w") refuses
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), self.path)
         directory, name = os.path.split(self._target)
         self._tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
-        self._fh = open(self._tmp, "x", encoding="utf-8", newline="\n")
+        try:
+            self._fh = open(self._tmp, "x", encoding="utf-8", newline="\n")
+        except OSError as exc:
+            self._tmp = None
+            raise type(exc)(exc.errno, exc.strerror, self.path) from None
         if st is not None:
             os.chmod(self._tmp, stat.S_IMODE(st.st_mode))
 
@@ -456,8 +460,7 @@ def main(argv=None) -> int:
         scenario = load_scenario(args.scenario)
         with _Artifact(args.out) as out:
             if args.what == "dynamics":
-                # formatted block by block as the integrator fills them
-                COMMANDS[args.what](scenario, functools.partial(_TableSink, out, args.format))
+                COMMANDS[args.what](scenario, out, args.format)
             else:
                 header, rows = COMMANDS[args.what](scenario)
                 (_write_csv if args.format == "csv" else _write_json)(out, header, rows)
