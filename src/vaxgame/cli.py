@@ -399,10 +399,11 @@ class _Artifact:
 class _TableSink:
     """Block sink that formats float rows straight into ``out`` as CSV or JSON.
 
-    Each block is one %-format.  In CSV that is "%.17g" per value, the
-    same bytes as :func:`_fmt`.  In JSON each row's template holds the
-    keys encoded by :func:`json.dumps` and a ``%r`` per value, which is
-    json's own float repr for finite floats, so the bytes are those of
+    In CSV :func:`csvtext.csv_rows` writes each value as the bytes "%.17g"
+    gives, those of :func:`_fmt`, a few rows at a time.  In JSON each block
+    is one %-format: each row's template holds the keys encoded by
+    :func:`json.dumps` and a ``%r`` per value, which is json's own float
+    repr for finite floats, so the bytes are those of
     ``json.dump(records, indent=2)``.  The rows are finite, since the
     integrator raises on a NaN or an infinity.  The CSV header, or the
     JSON opening bracket, goes out with the first block, so a run refused
@@ -412,9 +413,14 @@ class _TableSink:
     def __init__(self, out, fmt: str, header: list):
         self.out = out
         self.started = False
+        self.csv = None
         if fmt == "csv":
+            # imported on first use: without a bytecode cache, compiling it
+            # would add to the import time and to the import's peak memory
+            from . import csvtext
+
+            self.csv = csvtext
             self.opening, self.separator, self.closing = ",".join(header) + "\n", "", ""
-            self.row_format = ",".join(["%.17g"] * len(header)) + "\n"
         else:
             self.opening, self.separator, self.closing = "[\n", ",\n", "\n]\n"
             keys = (json.dumps(key).replace("%", "%%") for key in header)
@@ -423,7 +429,12 @@ class _TableSink:
     def __call__(self, block: np.ndarray):
         self.out.write(self.separator if self.started else self.opening)
         self.started = True
-        self.out.write(self.separator.join([self.row_format] * len(block)) % tuple(block.ravel().tolist()))
+        if self.csv is not None:
+            step = self.csv.SLICE_ROWS
+            for start in range(0, len(block), step):
+                self.out.write(self.csv.csv_rows(block[start : start + step]))
+        else:
+            self.out.write(self.separator.join([self.row_format] * len(block)) % tuple(block.ravel().tolist()))
 
     def close(self):
         self.out.write(self.closing)

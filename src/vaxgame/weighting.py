@@ -168,7 +168,9 @@ def verify_inverse_s_shape(spec: WeightingSpec) -> InverseSShapeReport:
     underweighting above it, slope below one at the inflection, and a
     qualitative divergence of the derivative at both endpoints (analytic
     derivative increasing through offsets 1e-6, 1e-9, 1e-12 and exceeding
-    10 at the innermost offset; no finite grid can verify the limit).
+    the identity's slope of 1 at the innermost offset; no finite grid can
+    verify the limit, and near alpha = 1 the divergence is slow: alpha =
+    0.99 gives w'(1e-12) = 2.36 and w'(1 - 1e-12) = 1.31).
     """
     if spec.is_identity:
         return InverseSShapeReport(spec, passed=True, skipped=True, checks={})
@@ -218,7 +220,7 @@ def verify_inverse_s_shape(spec: WeightingSpec) -> InverseSShapeReport:
     for edge in (0.0, 1.0):
         points = [edge + o if edge == 0.0 else edge - o for o in offsets]
         grads = [weight_derivative(spec, p) for p in points]
-        if not (grads[0] < grads[1] < grads[2] and grads[2] > 10.0):
+        if not (grads[0] < grads[1] < grads[2] and grads[2] > 1.0):
             ok_div = False
             where = points[-1]
             break
