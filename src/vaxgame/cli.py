@@ -276,7 +276,16 @@ def cmd_dynamics(scenario: Scenario, out, fmt: str):
 
     One float row per sample, the time first, goes to ``out`` as ``fmt``
     ("csv" or "json"), formatted block by block as the integrator fills
-    them, so the whole table is never held.
+    them, so the whole table is never held.  Where ``os.fork`` exists and
+    ``out`` has a file descriptor, such as the ``--out`` file, the blocks
+    are formatted in a forked writer process (:mod:`vaxgame.forkwriter`)
+    while this one steps on; the integrator, its range check and its
+    table cap stay here.  The fork is safe though numpy's OpenBLAS
+    workers make this process multi-threaded: the child calls no BLAS,
+    takes no lock those threads hold and never returns into the caller.
+    The writer is reaped before this returns or raises.  Without a fork,
+    or for an ``out`` with no descriptor such as :class:`io.StringIO`,
+    the same sink formats here; the bytes are the same either way.
     """
     opts = scenario.options.get("dynamics", {})
     params = scenario.params
@@ -312,11 +321,16 @@ def cmd_dynamics(scenario: Scenario, out, fmt: str):
         raise ScenarioError("dynamics 'sample_stride' must be an integer of at least 1")
     header = ["t"] + [f"p_{int(d)}" for d in dist.degrees]
     sink = _TableSink(out, fmt, header)
-    try:
-        integrate_dbmf(params, state, p0, float(t_end), None if dt is None else float(dt), stride, sink)
-    except TableSizeError as exc:
-        raise ScenarioError(f"dynamics trajectory too large: {exc}") from exc
-    sink.close()
+    if hasattr(os, "fork") and hasattr(out, "fileno"):
+        # imported on first use, as csvtext is
+        from .forkwriter import ForkedWriter
+
+        sink = ForkedWriter(sink)
+    with sink:
+        try:
+            integrate_dbmf(params, state, p0, float(t_end), None if dt is None else float(dt), stride, sink)
+        except TableSizeError as exc:
+            raise ScenarioError(f"dynamics trajectory too large: {exc}") from exc
 
 
 COMMANDS = {
@@ -350,6 +364,15 @@ class _Artifact:
         if self._fh is None:
             self._open()
         self._fh.write(text)
+
+    def flush(self):
+        self._fh.flush()
+
+    def fileno(self) -> int:
+        """The descriptor of the file being written, opened on first use."""
+        if self._fh is None:
+            self._open()
+        return self._fh.fileno()
 
     def _open(self):
         self._target = os.path.realpath(self.path)
@@ -407,12 +430,16 @@ class _TableSink:
     ``json.dump(records, indent=2)``.  The rows are finite, since the
     integrator raises on a NaN or an infinity.  The CSV header, or the
     JSON opening bracket, goes out with the first block, so a run refused
-    before it writes nothing; :meth:`close` ends the artifact.
+    before it writes nothing; :meth:`close`, or leaving the ``with`` block
+    cleanly, ends the artifact.  A forked writer's parent calls
+    :meth:`begin` itself, then the child's copy of the sink formats every
+    block and the closing: the child calls no BLAS, takes no lock numpy's
+    OpenBLAS worker threads hold, and never returns into the caller.
     """
 
     def __init__(self, out, fmt: str, header: list):
         self.out = out
-        self.started = False
+        self.lead = None  # the text before the next block, once begun
         self.csv = None
         if fmt == "csv":
             # imported on first use: without a bytecode cache, compiling it
@@ -426,9 +453,16 @@ class _TableSink:
             keys = (json.dumps(key).replace("%", "%%") for key in header)
             self.row_format = "  {\n" + ",\n".join(f"    {key}: %r" for key in keys) + "\n  }"
 
+    def begin(self):
+        """Write the CSV header or the JSON opening bracket."""
+        self.out.write(self.opening)
+        self.lead = ""
+
     def __call__(self, block: np.ndarray):
-        self.out.write(self.separator if self.started else self.opening)
-        self.started = True
+        if self.lead is None:
+            self.begin()
+        self.out.write(self.lead)
+        self.lead = self.separator
         if self.csv is not None:
             step = self.csv.SLICE_ROWS
             for start in range(0, len(block), step):
@@ -438,6 +472,13 @@ class _TableSink:
 
     def close(self):
         self.out.write(self.closing)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            self.close()
 
 
 def _write_csv(out, header: list, rows: list):

@@ -1,8 +1,10 @@
 """Shared generators and oracles for the test suite."""
 
 import math
+import os
 
 import numpy as np
+import pytest
 
 from vaxgame import (
     DegreeDistribution,
@@ -50,6 +52,40 @@ def count_rk4_steps(monkeypatch):
 
     monkeypatch.setattr(dbmf, "_ode_rhs", counted)
     return lambda: calls // 4
+
+
+def count_forks(monkeypatch):
+    """Count ``os.fork`` calls from here on; returns a callable giving the count."""
+    fork = os.fork
+    calls = 0
+
+    def counted():
+        nonlocal calls
+        calls += 1
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return lambda: calls
+
+
+def assert_no_child():
+    """Fail if this process has a child, running or waiting to be reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class WriteOnly:
+    """An ``out`` with ``write`` but no ``fileno``, so ``solve dynamics`` formats in this process.
+
+    Given a file, it writes there; otherwise it keeps the text.
+    """
+
+    def __init__(self, fh=None):
+        self.parts = []
+        self.write = self.parts.append if fh is None else fh.write
+
+    def text(self) -> str:
+        return "".join(self.parts)
 
 
 def count_rung_fills(monkeypatch):

@@ -1,5 +1,6 @@
 """Scenario loading, command artifacts, determinism, error behavior."""
 
+import errno
 import io
 import json
 import os
@@ -8,8 +9,9 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from conftest import WriteOnly, assert_no_child, count_forks
 
-from vaxgame.cli import ScenarioError, cmd_dynamics, load_scenario, main
+from vaxgame.cli import ScenarioError, _TableSink, cmd_dynamics, load_scenario, main
 from vaxgame.dbmf import BLOCK_ROWS, MAX_TABLE_BYTES
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -208,30 +210,33 @@ class TestDenseTrajectoryMemory:
     column included, to a sink that formats it straight into the output,
     so the traced peak of a run stays below a fraction of one table, at
     any row count.  A whole table, per-row lists of boxed floats or
-    per-row dicts would each grow with the rows.
+    per-row dicts would each grow with the rows.  The runs go to an
+    ``out`` without ``fileno``, so the blocks are formatted in this
+    process, where ``tracemalloc`` sees them, not in a forked writer.
     """
 
-    # t = 0..30 in steps of 0.01/delta, 101 degrees
-    TABLE_BYTES = 6001 * 101 * 8
+    # t = 0..30 in steps of 0.01/delta, 11 degrees
+    TABLE_BYTES = 6001 * 12 * 8
 
-    def traced_peak(self, tmp_path, fmt, t_end=30.0, d_max=100, threshold=20):
-        """Traced peak of the dense job to ``t_end`` written as ``fmt``, and the output path."""
+    def traced_peak(self, tmp_path, fmt, t_end=30.0):
+        """Traced peak of the dense job to ``t_end`` formatted in this process as ``fmt``, and the output path."""
         obj = {
-            "distribution": {"type": "powerlaw", "d_min": 1, "d_max": d_max, "beta": 3.0},
+            "distribution": {"type": "powerlaw", "d_min": 1, "d_max": 10, "beta": 3.0},
             "delta": 2.0,
-            "dynamics": {"p0": 0.5, "t_end": t_end, "sample_stride": 1, "state": {"threshold": threshold}},
+            "dynamics": {"p0": 0.5, "t_end": t_end, "sample_stride": 1, "state": {"threshold": 2}},
         }
-        out = str(tmp_path / f"dyn.{fmt}")
-        args = ["solve", "dynamics", "--scenario", write_scenario(tmp_path, obj), "--out", out, "--format", fmt]
+        out = tmp_path / f"dyn.{fmt}"
+        scenario = load_scenario(write_scenario(tmp_path, obj))
         # a short first run imports and caches, so the traced one sees only the job
         short = write_scenario(tmp_path, dict(obj, dynamics=dict(obj["dynamics"], t_end=0.1)), "short.json")
-        assert main(["solve", "dynamics", "--scenario", short, "--out", out, "--format", fmt]) == 0
-        tracemalloc.start()
-        try:
-            assert main(args) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        cmd_dynamics(load_scenario(short), WriteOnly(), fmt)
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            tracemalloc.start()
+            try:
+                cmd_dynamics(scenario, WriteOnly(fh), fmt)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
         return peak, out
 
     def test_peak_is_a_small_multiple_of_the_table(self, tmp_path):
@@ -247,19 +252,17 @@ class TestDenseTrajectoryMemory:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_streamed_peak_does_not_grow_with_the_rows(self, tmp_path, fmt):
-        # 11 degrees keep the traced runs short: 1,501 and then 6,001 rows
-        peaks = [self.traced_peak(tmp_path, fmt, t_end, d_max=10, threshold=2)[0] for t_end in (7.5, 30.0)]
+        # 1,501 and then 6,001 rows
+        peaks = [self.traced_peak(tmp_path, fmt, t_end)[0] for t_end in (7.5, 30.0)]
         out = tmp_path / f"dyn.{fmt}"
         with open(out, encoding="utf-8") as fh:
             if fmt == "csv":
                 assert sum(1 for _ in fh) == 6001 + 1
             else:
                 assert len(json.load(fh)) == 6001
-        # the time column and 11 degrees
-        table = 6001 * 12 * 8
         # no table is held, and four times the rows leave the peak where it was
-        assert peaks[1] <= 0.25 * table, peaks[1] / table
-        assert peaks[1] - peaks[0] <= 0.01 * table, (peaks[1] - peaks[0]) / table
+        assert peaks[1] <= 0.25 * self.TABLE_BYTES, peaks[1] / self.TABLE_BYTES
+        assert peaks[1] - peaks[0] <= 0.01 * self.TABLE_BYTES, (peaks[1] - peaks[0]) / self.TABLE_BYTES
 
 
 class TestDefaultStep:
@@ -352,6 +355,54 @@ class TestArtifact:
         assert round(t / 0.404) > BLOCK_ROWS
         assert out.read_bytes() == b"sentinel"
         assert [p.name for p in directory.iterdir()] == [out.name]
+        assert_no_child()
+
+    def test_no_writer_outlives_a_finished_run(self, tmp_path, monkeypatch):
+        # 1,000 steps: sixteen blocks go through the writer process
+        scenario = self.dynamics_scenario(tmp_path, t_end=20.0)
+        forks = count_forks(monkeypatch)
+        out = tmp_path / "dyn.csv"
+        assert main(["solve", "dynamics", "--scenario", scenario, "--out", str(out)]) == 0
+        assert forks() == 1
+        assert_no_child()
+        assert len(read_rows(out)[1]) == 1001
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_full_device_exits_2(self, tmp_path, capsys, fmt):
+        scenario = self.dynamics_scenario(tmp_path, t_end=20.0)
+        assert main(["solve", "dynamics", "--scenario", scenario, "--out", "/dev/full", "--format", fmt]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "OSError", "message": "[Errno 28] No space left on device"}
+        assert_no_child()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_writer_failure_is_raised_as_its_own_error(self, tmp_path, monkeypatch, capsys, fmt):
+        # the third block fails in the writer process, which alone formats;
+        # the parent's next frame then meets a closed pipe
+        format_block = _TableSink.__call__
+        blocks = 0
+
+        def failing(sink, block):
+            nonlocal blocks
+            blocks += 1
+            if blocks == 3:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            format_block(sink, block)
+
+        monkeypatch.setattr(_TableSink, "__call__", failing)
+        forks = count_forks(monkeypatch)
+        # 10,000 steps: 157 frames, far more than the pipe holds
+        scenario = self.dynamics_scenario(tmp_path, t_end=200.0)
+        out = tmp_path / f"dyn.{fmt}"
+        out.write_bytes(b"sentinel")
+        assert main(["solve", "dynamics", "--scenario", scenario, "--out", str(out), "--format", fmt]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "OSError", "message": "[Errno 28] No space left on device"}
+        assert forks() == 1 and blocks == 0
+        assert_no_child()
+        assert out.read_bytes() == b"sentinel"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [out.name, "scenario.json"]
 
     def test_existing_file_keeps_its_mode_and_a_link_stays(self, tmp_path):
         scenario = self.dynamics_scenario(tmp_path, t_end=0.1)
