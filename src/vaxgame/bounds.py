@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .dbmf import EpidemicParams, endemic_state, reproduction
 from .degree import DegreeDistribution
-from .game import CandidateState, GameSpec, ThresholdLadder, solve_pne
+from .game import CandidateState, GameSpec, ThresholdLadder, matching_ladder, solve_pne
 from .weighting import WeightingSpec, identity, prelec, weight_inverse
 
 __all__ = [
@@ -166,7 +166,9 @@ class RatioSandwichReport:
         return all(p.true_within and p.weighted_within for p in self.points if not p.uninformative)
 
 
-def ratio_sandwich(ctx: PowerLawBoundContext, alpha: float, costs) -> RatioSandwichReport:
+def ratio_sandwich(
+    ctx: PowerLawBoundContext, alpha: float, costs, ladder: ThresholdLadder | None = None
+) -> RatioSandwichReport:
     """Equilibrium thresholds against the proof sandwich over a cost grid.
 
     For exponent-3 networks with minimum degree above 1, both equilibrium
@@ -174,10 +176,12 @@ def ratio_sandwich(ctx: PowerLawBoundContext, alpha: float, costs) -> RatioSandw
     (1-c)/(1-w^{-1}(c)).  Points where a sandwich or a threshold clips at
     the maximum degree are flagged uninformative rather than failed; so are
     points where w^{-1}(c) rounds to 1, whose weighted bounds are infinite.
+    ``ladder`` shares the full-threshold solves with other calls on the
+    same epidemic; ValueError for a ladder built on another one.
     """
     _require_beta3_d0(ctx)
     params = ctx.params
-    ladder = ThresholdLadder(params)
+    ladder = ThresholdLadder(params) if ladder is None else matching_ladder(params, ladder)
     w_spec = prelec(alpha)
     id_spec = identity()
     d0 = ctx.d0

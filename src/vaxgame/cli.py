@@ -155,14 +155,44 @@ def _require_costs(scenario: Scenario):
         raise ScenarioError("this command requires 'cost' in the scenario")
 
 
+def _solve_costs(solve_cost, count: int) -> list:
+    """``[solve_cost(i) for i in range(count)]``, on two processes where two CPUs are free.
+
+    Where ``os.fork`` exists, at least two CPUs are in this process's
+    affinity set and there are at least two costs, a forked child solves
+    the odd indices while this process solves the even ones
+    (:func:`vaxgame.forking.interleave`); otherwise the loop runs here.
+    The results, and the exception of the first failing cost, are the
+    serial loop's either way.  The child's root kernel calls BLAS; that is
+    safe after the fork, since OpenBLAS's ``pthread_atfork`` handler stops
+    its thread pool before one.
+    """
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    if count >= 2 and hasattr(os, "fork") and len(cpus) >= 2:
+        # imported on first use, as forkwriter is
+        from .forking import interleave
+
+        return interleave(solve_cost, count)
+    return [solve_cost(i) for i in range(count)]
+
+
 def cmd_pne(scenario: Scenario) -> tuple[list, list]:
-    """Equilibrium table rows for every (cost, weighting) pair."""
+    """Equilibrium table rows for every (cost, weighting) pair.
+
+    Each cost is solved on its own, its certificate checked, by one
+    function of its index; :func:`_solve_costs` runs it over the costs,
+    the odd ones in a forked child where two CPUs are free.  Each process
+    fills its own ladder; a rung is a function of its index alone, so the
+    rows are the same bytes either way.
+    """
     _require_costs(scenario)
     params = scenario.params
     ladder = ThresholdLadder(params)
     header = ["c", "alpha", "threshold", "fraction", "v", "expected_infected", "social_cost"]
-    rows = []
-    for c in scenario.costs:
+
+    def solve_cost(i: int) -> list:
+        c = scenario.costs[i]
+        rows = []
         for w in scenario.weightings:
             spec = GameSpec(params, w, c)
             res = solve_pne(spec, ladder=ladder)
@@ -184,7 +214,9 @@ def cmd_pne(scenario: Scenario) -> tuple[list, list]:
                     res.social_cost,
                 ]
             )
-    return header, rows
+        return rows
+
+    return header, [row for rows in _solve_costs(solve_cost, len(scenario.costs)) for row in rows]
 
 
 def cmd_social_opt(scenario: Scenario) -> tuple[list, list]:
@@ -228,7 +260,12 @@ def cmd_social_opt(scenario: Scenario) -> tuple[list, list]:
 
 
 def cmd_bounds(scenario: Scenario) -> tuple[list, list]:
-    """Threshold-sandwich table over the cost grid."""
+    """Threshold-sandwich table over the cost grid.
+
+    One :func:`ratio_sandwich` point per cost, run over the costs by
+    :func:`_solve_costs` as :func:`cmd_pne` runs its costs, with one
+    ladder for each process.
+    """
     _require_costs(scenario)
     opts = scenario.options.get("bounds", {})
     alpha = opts.get("alpha")
@@ -240,7 +277,7 @@ def cmd_bounds(scenario: Scenario) -> tuple[list, list]:
     elif not _is_number(alpha):
         raise ScenarioError("'bounds.alpha' must be a number")
     ctx = PowerLawBoundContext.create(scenario.distribution, scenario.delta)
-    report = ratio_sandwich(ctx, float(alpha), scenario.costs)
+    ladder = ThresholdLadder(ctx.params)
     header = [
         "c",
         "d_t",
@@ -253,8 +290,10 @@ def cmd_bounds(scenario: Scenario) -> tuple[list, list]:
         "theta_proxy",
         "uninformative",
     ]
-    rows = [
-        [
+
+    def solve_cost(i: int) -> list:
+        (p,) = ratio_sandwich(ctx, float(alpha), scenario.costs[i : i + 1], ladder=ladder).points
+        return [
             p.cost,
             p.d_true,
             p.d_weighted,
@@ -266,9 +305,8 @@ def cmd_bounds(scenario: Scenario) -> tuple[list, list]:
             p.theta_proxy,
             int(p.uninformative),
         ]
-        for p in report.points
-    ]
-    return header, rows
+
+    return header, _solve_costs(solve_cost, len(scenario.costs))
 
 
 def cmd_dynamics(scenario: Scenario, out, fmt: str):

@@ -219,8 +219,8 @@ def _endemic_roots(delta: float, d: np.ndarray, coeff: np.ndarray, tol: float):
     w, terms = np.empty_like(coeff), np.empty_like(coeff)
     for _ in range(NEWTON_MAX_ITER):
         # a finished row keeps its v, so its g is recomputed bit for bit
-        np.add(delta, np.outer(v, d, out=w), out=w)
-        g = np.divide(coeff, w, out=terms).sum(axis=1) - 1.0
+        np.add(delta, np.multiply(v[:, None], d, out=w), out=w)
+        g = np.add.reduce(np.divide(coeff, w, out=terms), axis=1) - 1.0
         step = g / (np.divide(terms, w, out=w) @ d)  # g/|g'|
         done |= (np.abs(g) <= tol) & (step <= 1e-13 * v)
         if done.all():

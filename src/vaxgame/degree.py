@@ -94,8 +94,8 @@ class DegreeDistribution:
         return self.degrees * self.mass / self.mean_degree
 
     def same_support(self, other: "DegreeDistribution") -> bool:
-        return np.array_equal(self.degrees, other.degrees) and np.array_equal(
-            self.mass, other.mass
+        return other is self or (
+            np.array_equal(self.degrees, other.degrees) and np.array_equal(self.mass, other.mass)
         )
 
     def to_json(self) -> dict:

@@ -68,6 +68,15 @@ def count_forks(monkeypatch):
     return lambda: calls
 
 
+def set_cpus(monkeypatch, count):
+    """Make ``os.sched_getaffinity`` report ``count`` CPUs from here on.
+
+    ``solve pne`` and ``solve bounds`` split their costs over two
+    processes only where it reports at least two.
+    """
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(count)), raising=False)
+
+
 def assert_no_child():
     """Fail if this process has a child, running or waiting to be reaped."""
     with pytest.raises(ChildProcessError):

@@ -239,17 +239,6 @@ class TestDenseTrajectoryMemory:
                 tracemalloc.stop()
         return peak, out
 
-    def test_peak_is_a_small_multiple_of_the_table(self, tmp_path):
-        peak, out = self.traced_peak(tmp_path, "csv")
-        assert len(read_rows(out)[1]) == 6001
-        assert peak <= 1.5 * self.TABLE_BYTES, peak / self.TABLE_BYTES
-
-    def test_json_peak_is_a_small_multiple_of_the_table(self, tmp_path):
-        peak, out = self.traced_peak(tmp_path, "json")
-        with open(out, encoding="utf-8") as fh:
-            assert len(json.load(fh)) == 6001
-        assert peak <= 1.5 * self.TABLE_BYTES, peak / self.TABLE_BYTES
-
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_streamed_peak_does_not_grow_with_the_rows(self, tmp_path, fmt):
         # 1,501 and then 6,001 rows

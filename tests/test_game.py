@@ -36,6 +36,7 @@ from conftest import (
     random_distribution,
     random_params,
     record_root_widths,
+    set_cpus,
     states_within_one_step,
     walk_pne,
 )
@@ -528,7 +529,9 @@ class TestRootWorkBudget:
             assert widths == [dist.index_of(cand.threshold) + 1]
 
     def test_pne_sweep_column_budget(self, monkeypatch, tmp_path):
-        # the bench sweep's shape: 91 costs x 3 weightings over 4,999 degrees
+        # the bench sweep's shape: 91 costs x 3 weightings over 4,999 degrees,
+        # on one CPU, so every solve runs in this process and is counted
+        set_cpus(monkeypatch, 1)
         scenario = tmp_path / "sweep.json"
         scenario.write_text(
             json.dumps(
