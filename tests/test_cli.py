@@ -218,14 +218,15 @@ class TestDenseTrajectoryMemory:
     # t = 0..30 in steps of 0.01/delta, 11 degrees
     TABLE_BYTES = 6001 * 12 * 8
 
-    def traced_peak(self, tmp_path, fmt, t_end=30.0):
+    @staticmethod
+    def traced_peak(tmp_path, fmt, t_end):
         """Traced peak of the dense job to ``t_end`` formatted in this process as ``fmt``, and the output path."""
         obj = {
             "distribution": {"type": "powerlaw", "d_min": 1, "d_max": 10, "beta": 3.0},
             "delta": 2.0,
             "dynamics": {"p0": 0.5, "t_end": t_end, "sample_stride": 1, "state": {"threshold": 2}},
         }
-        out = tmp_path / f"dyn.{fmt}"
+        out = tmp_path / f"dyn_{t_end:g}.{fmt}"
         scenario = load_scenario(write_scenario(tmp_path, obj))
         # a short first run imports and caches, so the traced one sees only the job
         short = write_scenario(tmp_path, dict(obj, dynamics=dict(obj["dynamics"], t_end=0.1)), "short.json")
@@ -239,19 +240,38 @@ class TestDenseTrajectoryMemory:
                 tracemalloc.stop()
         return peak, out
 
+    @pytest.fixture(scope="class")
+    def traced(self, tmp_path_factory):
+        """``(peak, out)`` of each format at 1,501 and then 6,001 rows.
+
+        Tracing slows the job several times over, so each run is made
+        once, in a fixed order, and every test of the class reads it.
+        """
+        tmp_path = tmp_path_factory.mktemp("dense")
+        return {(fmt, t_end): self.traced_peak(tmp_path, fmt, t_end) for fmt in ("csv", "json") for t_end in (7.5, 30.0)}
+
+    def test_peak_is_a_small_multiple_of_the_table(self, traced):
+        peak, out = traced["csv", 30.0]
+        assert len(read_rows(out)[1]) == 6001
+        assert peak <= 1.5 * self.TABLE_BYTES, peak / self.TABLE_BYTES
+
+    def test_json_peak_is_a_small_multiple_of_the_table(self, traced):
+        peak, out = traced["json", 30.0]
+        with open(out, encoding="utf-8") as fh:
+            assert len(json.load(fh)) == 6001
+        assert peak <= 1.5 * self.TABLE_BYTES, peak / self.TABLE_BYTES
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_streamed_peak_does_not_grow_with_the_rows(self, tmp_path, fmt):
-        # 1,501 and then 6,001 rows
-        peaks = [self.traced_peak(tmp_path, fmt, t_end)[0] for t_end in (7.5, 30.0)]
-        out = tmp_path / f"dyn.{fmt}"
+    def test_streamed_peak_does_not_grow_with_the_rows(self, traced, fmt):
+        (small, _), (peak, out) = traced[fmt, 7.5], traced[fmt, 30.0]
         with open(out, encoding="utf-8") as fh:
             if fmt == "csv":
                 assert sum(1 for _ in fh) == 6001 + 1
             else:
                 assert len(json.load(fh)) == 6001
         # no table is held, and four times the rows leave the peak where it was
-        assert peaks[1] <= 0.25 * self.TABLE_BYTES, peaks[1] / self.TABLE_BYTES
-        assert peaks[1] - peaks[0] <= 0.01 * self.TABLE_BYTES, (peaks[1] - peaks[0]) / self.TABLE_BYTES
+        assert peak <= 0.25 * self.TABLE_BYTES, peak / self.TABLE_BYTES
+        assert peak - small <= 0.01 * self.TABLE_BYTES, (peak - small) / self.TABLE_BYTES
 
 
 class TestDefaultStep:
