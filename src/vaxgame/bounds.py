@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .dbmf import EpidemicParams, endemic_state, reproduction
 from .degree import DegreeDistribution
+# bench/tracing.py patches bounds.ThresholdLadder, so the import stays
 from .game import CandidateState, GameSpec, ThresholdLadder, matching_ladder, solve_pne
 from .weighting import WeightingSpec, identity, prelec, weight_inverse
 
@@ -181,7 +182,7 @@ def ratio_sandwich(
     """
     _require_beta3_d0(ctx)
     params = ctx.params
-    ladder = ThresholdLadder(params) if ladder is None else matching_ladder(params, ladder)
+    ladder = matching_ladder(params, ladder)
     w_spec = prelec(alpha)
     id_spec = identity()
     d0 = ctx.d0

@@ -29,8 +29,10 @@ import numpy as np
 from .bounds import PowerLawBoundContext, ratio_sandwich
 from .dbmf import EpidemicParams, TableSizeError, integrate_dbmf
 from .degree import DegreeDistribution
+# bench/tracing.py patches ThresholdLadder, SocialOptimumSolver and social_cost by
+# these names, so they stay though this module no longer calls social_cost
 from .game import CandidateState, GameSpec, ThresholdLadder, solve_pne, verify_pne
-from .planner import SocialOptimumSolver, social_cost
+from .planner import SocialOptimumSolver, social_cost  # noqa: F401
 from .weighting import WeightingSpec
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario", "main"]
@@ -158,14 +160,16 @@ def _require_costs(scenario: Scenario):
 def _solve_costs(solve_cost, count: int) -> list:
     """``[solve_cost(i) for i in range(count)]``, on two processes where two CPUs are free.
 
-    Where ``os.fork`` exists, at least two CPUs are in this process's
-    affinity set and there are at least two costs, a forked child solves
-    the odd indices while this process solves the even ones
+    Every table command, ``pne``, ``opt`` and ``bounds``, solves its costs
+    through this.  Where ``os.fork`` exists, at least two CPUs are in this
+    process's affinity set and there are at least two costs, a forked
+    child solves the odd indices while this process solves the even ones
     (:func:`vaxgame.forking.interleave`); otherwise the loop runs here.
     The results, and the exception of the first failing cost, are the
-    serial loop's either way.  The child's root kernel calls BLAS; that is
-    safe after the fork, since OpenBLAS's ``pthread_atfork`` handler stops
-    its thread pool before one.
+    serial loop's either way, since each cost's answer depends on that
+    cost alone.  The child's root kernel calls BLAS; that is safe after
+    the fork, since OpenBLAS's ``pthread_atfork`` handler stops its
+    thread pool before one.
     """
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
     if count >= 2 and hasattr(os, "fork") and len(cpus) >= 2:
@@ -176,14 +180,33 @@ def _solve_costs(solve_cost, count: int) -> list:
     return [solve_cost(i) for i in range(count)]
 
 
+def _certified_equilibria(scenario: Scenario, params: EpidemicParams, ladder: ThresholdLadder, c: float):
+    """Yield ``(alpha, result)`` for each weighting's equilibrium at cost ``c``.
+
+    ``alpha`` is the label of the table's ``alpha`` column.  Each
+    result's certificate is checked before it is yielded; a failed one
+    raises RuntimeError, so no table holds an uncertified equilibrium.
+    """
+    for w in scenario.weightings:
+        spec = GameSpec(params, w, c)
+        res = solve_pne(spec, ladder=ladder)
+        cert = verify_pne(spec, res.state)
+        if not cert.passed:
+            raise RuntimeError(
+                f"equilibrium certificate failed at c={c:g}, {w.label}: "
+                f"violation {cert.max_violation:g}"
+            )
+        yield ("identity" if w.kind == "identity" else _fmt(float(w.alpha))), res
+
+
 def cmd_pne(scenario: Scenario) -> tuple[list, list]:
     """Equilibrium table rows for every (cost, weighting) pair.
 
-    Each cost is solved on its own, its certificate checked, by one
-    function of its index; :func:`_solve_costs` runs it over the costs,
-    the odd ones in a forked child where two CPUs are free.  Each process
-    fills its own ladder; a rung is a function of its index alone, so the
-    rows are the same bytes either way.
+    One row per certified equilibrium of :func:`_certified_equilibria`,
+    run over the costs by :func:`_solve_costs`, the odd ones in a forked
+    child where two CPUs are free.  Each process fills its own ladder; a
+    rung is a function of its index alone, so the rows are the same bytes
+    either way.
     """
     _require_costs(scenario)
     params = scenario.params
@@ -192,35 +215,25 @@ def cmd_pne(scenario: Scenario) -> tuple[list, list]:
 
     def solve_cost(i: int) -> list:
         c = scenario.costs[i]
-        rows = []
-        for w in scenario.weightings:
-            spec = GameSpec(params, w, c)
-            res = solve_pne(spec, ladder=ladder)
-            cert = verify_pne(spec, res.state)
-            if not cert.passed:
-                raise RuntimeError(
-                    f"equilibrium certificate failed at c={c:g}, {w.label}: "
-                    f"violation {cert.max_violation:g}"
-                )
-            alpha = "identity" if w.kind == "identity" else _fmt(float(w.alpha))
-            rows.append(
-                [
-                    c,
-                    alpha,
-                    res.state.threshold,
-                    res.state.fraction,
-                    res.v,
-                    res.expected_infected,
-                    res.social_cost,
-                ]
-            )
-        return rows
+        return [
+            [c, alpha, res.state.threshold, res.state.fraction, res.v, res.expected_infected, res.social_cost]
+            for alpha, res in _certified_equilibria(scenario, params, ladder, c)
+        ]
 
     return header, [row for rows in _solve_costs(solve_cost, len(scenario.costs)) for row in rows]
 
 
 def cmd_social_opt(scenario: Scenario) -> tuple[list, list]:
-    """Planner-vs-equilibrium table rows for every (cost, weighting) pair."""
+    """Planner-vs-equilibrium table rows for every (cost, weighting) pair.
+
+    The equilibria are :func:`cmd_pne`'s, certified the same way, so
+    ``pne_social_cost`` is ``solve pne``'s ``social_cost`` and a failed
+    certificate exits as ``solve pne`` does.  Each cost solves its
+    equilibria, then the planner's optimum, run over the costs by
+    :func:`_solve_costs`.  Each process keeps its own ladder and its own
+    :class:`SocialOptimumSolver` tables; every answer depends on its cost
+    alone, so the rows are the same bytes either way.
+    """
     _require_costs(scenario)
     params = scenario.params
     ladder = ThresholdLadder(params)
@@ -236,27 +249,27 @@ def cmd_social_opt(scenario: Scenario) -> tuple[list, list]:
         "gap",
         "bound",
     ]
-    rows = []
-    for c in scenario.costs:
+
+    def solve_cost(i: int) -> list:
+        c = scenario.costs[i]
+        equilibria = list(_certified_equilibria(scenario, params, ladder, c))
         opt_state, opt_cost = solver.solve(c)
-        for w in scenario.weightings:
-            spec = GameSpec(params, w, c)
-            res = solve_pne(spec, ladder=ladder)
-            pne_cost = social_cost(params, c, res.state)
-            alpha = "identity" if w.kind == "identity" else _fmt(float(w.alpha))
-            rows.append(
-                [
-                    c,
-                    alpha,
-                    "none" if opt_state.threshold is None else opt_state.threshold,
-                    opt_state.fraction,
-                    opt_cost.total,
-                    pne_cost.total,
-                    pne_cost.total - opt_cost.total,
-                    bound,
-                ]
-            )
-    return header, rows
+        opt_threshold = "none" if opt_state.threshold is None else opt_state.threshold
+        return [
+            [
+                c,
+                alpha,
+                opt_threshold,
+                opt_state.fraction,
+                opt_cost.total,
+                res.social_cost,
+                res.social_cost - opt_cost.total,
+                bound,
+            ]
+            for alpha, res in equilibria
+        ]
+
+    return header, [row for rows in _solve_costs(solve_cost, len(scenario.costs)) for row in rows]
 
 
 def cmd_bounds(scenario: Scenario) -> tuple[list, list]:

@@ -275,7 +275,8 @@ def inefficiency(spec: GameSpec) -> InefficiencyReport:
     ladder = ThresholdLadder(params)
     pne = solve_pne(spec, ladder=ladder)
     opt_state, opt_cost = SocialOptimumSolver(params, ladder=ladder).solve(spec.cost)
-    pne_cost = social_cost(params, spec.cost, pne.state)
+    vaccination = spec.cost * (1.0 - pne.state.unprotected_mass)
+    pne_cost = SocialCostBreakdown(pne.social_cost, pne.expected_infected, vaccination)
     gap = pne_cost.total - opt_cost.total
     bound = params.distribution.mean_degree / params.delta
 

@@ -15,6 +15,7 @@ from vaxgame.cli import ScenarioError, _TableSink, cmd_dynamics, load_scenario, 
 from vaxgame.dbmf import BLOCK_ROWS, MAX_TABLE_BYTES
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+WITH_COSTS = [p for p in sorted(SCENARIOS.glob("*.json")) if "cost" in json.loads(p.read_text(encoding="utf-8"))]
 
 
 def write_scenario(tmp_path, obj, name="scenario.json"):
@@ -147,6 +148,32 @@ class TestOtherCommands:
         assert float(row["opt_fraction"]) == pytest.approx(0.5, abs=1e-5)
         assert float(row["gap"]) >= -1e-9
         assert float(row["bound"]) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("scenario", WITH_COSTS, ids=lambda p: p.stem)
+    def test_opt_reports_the_pne_social_cost(self, tmp_path, scenario):
+        # both tables are written from the same certified equilibria
+        columns = []
+        for what, column in (("pne", "social_cost"), ("opt", "pne_social_cost")):
+            out = tmp_path / f"{what}.csv"
+            assert main(["solve", what, "--scenario", str(scenario), "--out", str(out)]) == 0
+            header, rows = read_rows(out)
+            columns.append([row[header.index(column)] for row in rows])
+        assert columns[0] == columns[1]
+
+    def test_opt_and_pne_exit_alike_on_a_certificate_near_criticality(self, tmp_path, capsys):
+        # on powerlaw_d100 with prelec 0.3 the c = 0.05 equilibrium sits at R ~ 1,
+        # where its certificate can fail: both commands must end the same way
+        obj = json.loads((SCENARIOS / "powerlaw_d100.json").read_text(encoding="utf-8"))
+        obj["weightings"] = [{"kind": "prelec", "alpha": 0.3}]
+        scenario = write_scenario(tmp_path, obj)
+        results = []
+        for what in ("pne", "opt"):
+            out = tmp_path / f"{what}.csv"
+            rc = main(["solve", what, "--scenario", scenario, "--out", str(out)])
+            results.append((rc, capsys.readouterr().err))
+            # a failed command leaves no artifact
+            assert out.exists() == (rc == 0)
+        assert results[0] == results[1]
 
     def test_bounds_command(self, tmp_path):
         obj = {

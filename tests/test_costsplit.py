@@ -1,7 +1,9 @@
-"""The cost split of ``solve pne`` and ``solve bounds``: the serial run's bytes and errors, no child left.
+"""The cost split of the table commands: the serial run's bytes and errors, no child left.
 
-With two CPUs a forked child solves the odd-indexed costs while the
-parent solves the even ones (``vaxgame.forking.interleave``).  The tests
+``solve pne``, ``solve opt`` and ``solve bounds`` run their costs through
+one path.  With two CPUs a forked child solves the odd-indexed costs
+while the parent solves the even ones (``vaxgame.forking.interleave``);
+``opt`` keeps its planner tables in each process.  The tests
 make ``os.sched_getaffinity`` report two CPUs, or one, so they split, or
 do not, on any host.
 """
@@ -55,7 +57,7 @@ def forked_and_here(capsys, monkeypatch, tmp_path, what, scenario, fmt="csv"):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("what", ["pne", "bounds"])
+@pytest.mark.parametrize("what", ["pne", "opt", "bounds"])
 @pytest.mark.parametrize("scenario", WITH_COSTS, ids=lambda p: p.stem)
 def test_forked_and_in_process_runs_are_the_same(tmp_path, monkeypatch, capsys, scenario, what, fmt):
     # bounds refuses powerlaw_d100 (d_min = 1) and single_degree (no prelec):
@@ -64,7 +66,7 @@ def test_forked_and_in_process_runs_are_the_same(tmp_path, monkeypatch, capsys, 
     assert forked == here
 
 
-@pytest.mark.parametrize("what", ["pne", "bounds"])
+@pytest.mark.parametrize("what", ["pne", "opt", "bounds"])
 def test_one_fork_per_command_on_two_cpus_none_on_one(tmp_path, monkeypatch, capsys, what):
     forked, here, split = forked_and_here(capsys, monkeypatch, tmp_path, what, SCENARIOS / "bounds_d500.json")
     assert split == 1 and forked == here and forked[0] == 0
@@ -75,7 +77,7 @@ def test_a_single_cost_is_solved_here(tmp_path, monkeypatch, capsys):
     assert split == 0 and forked == here and forked[0] == 0
 
 
-@pytest.mark.parametrize("what", ["pne", "bounds"])
+@pytest.mark.parametrize("what", ["pne", "opt", "bounds"])
 def test_without_os_fork_the_costs_are_solved_here(tmp_path, monkeypatch, capsys, what):
     scenario = SCENARIOS / "bounds_d500.json"
     set_cpus(monkeypatch, 2)
@@ -97,11 +99,12 @@ def failing_certificate(monkeypatch, costs):
 
 
 @pytest.mark.parametrize("failing", [(3, 6), (2, 5)], ids=["child-first", "parent-first"])
-def test_a_certificate_failure_in_each_half_is_the_serial_error(tmp_path, monkeypatch, capsys, failing):
+@pytest.mark.parametrize("what", ["pne", "opt"])
+def test_a_certificate_failure_in_each_half_is_the_serial_error(tmp_path, monkeypatch, capsys, what, failing):
     scenario = SCENARIOS / "powerlaw_d100.json"
     costs = load_scenario(str(scenario)).costs
     failing_certificate(monkeypatch, {costs[i] for i in failing})
-    forked, here, split = forked_and_here(capsys, monkeypatch, tmp_path, "pne", scenario)
+    forked, here, split = forked_and_here(capsys, monkeypatch, tmp_path, what, scenario)
     assert split == 1 and forked == here
     rc, err, data = forked
     assert rc == 2 and data is None

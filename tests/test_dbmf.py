@@ -37,6 +37,9 @@ from conftest import (
 )
 
 
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
 def single_degree_params(k=4, delta=2.0):
     return EpidemicParams(delta, explicit({k: 1.0}))
 
@@ -110,6 +113,32 @@ class TestEndemicState:
             params = random_params(rng, dist)
             es = endemic_state(params, SocialState(dist, dist.mass))
             assert np.all(np.diff(es.p) >= -1e-15)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        d_min=st.integers(1, 3),
+        d_max=st.integers(5, 400),
+        beta=st.floats(2.05, 3.5),
+        delta_ratio=st.floats(0.005, 0.9999),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_residual_state_is_critical(self, d_min, d_max, beta, delta_ratio, seed):
+        # at the fixed point the state x*(1 - p) has R = g(v) + 1 = 1, since
+        # 1 - p_d = delta/(delta + d*v)
+        dist = power_law(d_min, d_max, beta)
+        params = EpidemicParams(delta_ratio * dist.second_moment / dist.mean_degree, dist)
+        x = np.random.default_rng(seed).uniform(size=dist.size) * dist.mass
+        es = endemic_state(params, SocialState(dist, x))
+        assume(es.v > 0.0)
+        residual = x * (1.0 - es.p)
+        d = dist.float_degrees
+        terms = d * d * residual / (params.delta * dist.mean_degree)
+        # the root's own |g(v)|, then gamma_k*sum|terms| for the rounding of
+        # g and of R, with the error of 1 - p_d amplified by p_d/(1 - p_d) = d*v/delta
+        k = dist.size + 6
+        gamma = k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
+        bound = es.residual + gamma * float(np.sum(terms * (2.0 + d * es.v / params.delta)))
+        assert abs(reproduction(params, SocialState(dist, residual)) - 1.0) <= bound
 
     def test_near_critical_flag(self):
         dist = explicit({2: 1.0})

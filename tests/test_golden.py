@@ -15,7 +15,13 @@ by at most 1.7e-15 relative, ``threshold`` and ``fraction`` not at all.
 ``powerlaw_d100_opt.csv`` and ``single_degree_opt.csv`` were captured
 before threshold states got one constructor, which canonicalizes a zero
 fraction inside :class:`CandidateState` in place of the planner's own
-code; that change may not move a byte of ``opt`` either.
+code; that change may not move a byte of ``opt`` either.  Both were
+recaptured when ``solve opt`` began to write the certified equilibrium's
+own social cost, the ``social_cost`` ``solve pne`` writes, in place of
+a re-solve of its state.  ``pne_social_cost`` moved by at most 8.5e-13
+relative (2.3e-15 absolute) and ``gap`` by at most 8.0e-12 relative, in
+30 of 57 ``powerlaw_d100`` rows and in the one ``single_degree`` row; no
+``opt_*`` column moved.
 ``dynamics_dense_dynamics.csv`` (141 rows, more than two of the writer's
 64-row blocks) was captured before the trajectory went to the CSV as
 arrays, formatted a block at a time; no block may move a byte.
