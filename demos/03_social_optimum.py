@@ -25,7 +25,7 @@ def main():
     dist = power_law(1, 100, 3.0)
     params = EpidemicParams(2.0, dist)
     ladder = ThresholdLadder(params)
-    solver = SocialOptimumSolver(params, ladder=ladder)
+    solver = SocialOptimumSolver(params)
     bound = dist.mean_degree / params.delta
     print(f"inefficiency bound <d>/delta = {bound:.4f}\n")
 

@@ -231,13 +231,13 @@ def cmd_social_opt(scenario: Scenario) -> tuple[list, list]:
     certificate exits as ``solve pne`` does.  Each cost solves its
     equilibria, then the planner's optimum, run over the costs by
     :func:`_solve_costs`.  Each process keeps its own ladder and its own
-    :class:`SocialOptimumSolver` tables; every answer depends on its cost
+    :class:`SocialOptimumSolver` table; every answer depends on its cost
     alone, so the rows are the same bytes either way.
     """
     _require_costs(scenario)
     params = scenario.params
     ladder = ThresholdLadder(params)
-    solver = SocialOptimumSolver(params, ladder=ladder)
+    solver = SocialOptimumSolver(params)
     bound = params.distribution.mean_degree / params.delta
     header = [
         "c",

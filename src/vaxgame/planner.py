@@ -1,34 +1,35 @@
 """Centralized benchmark: social cost, optimal policy, inefficiency.
 
-The planner minimizes the true expected cost of the whole population:
-expected infected mass at the endemic state plus total vaccination
-expenditure.  The minimizer over all social states is attained on the
-threshold-structured candidate family (at most one partially vaccinated
-degree, everything below unprotected, everything above vaccinated).
+The planner minimizes the true expected cost of the whole population,
+``psi(x) = I(x) + c*(1 - U(x))``: expected infected mass I at the endemic
+state plus the vaccination expenditure, with U the unprotected mass.
+The minimizer over all social states is the eradication-boundary state
+x*, which fills degrees unprotected in ascending order until
+``sum d^2 x_d`` reaches ``delta*<d>``:
 
-On threshold j (the j-th degree in ascending order) the infected mass
-never falls as the threshold fraction grows, and the unprotected mass
-never exceeds that of the full state at j.  So every state on threshold
-j costs at least
+- The residual state is critical.  At an endemic fixed point
+  ``p_d = d*v/(delta + d*v)``, and ``y = x*(1 - p)`` has
+  ``R(y) = sum d^2 x_d/(<d>*(delta + d*v)) = 1``, which is ``g(v) = 0``
+  rewritten; a disease-free x is its own residual, with ``R <= 1``.
+- Ascending order holds the most unprotected mass.  Among states with
+  ``R <= 1`` (``sum d^2 y_d <= delta*<d>``, ``0 <= y_d <= m_d``) the
+  unprotected mass is a fractional knapsack with weight ``d^2`` per unit,
+  so it is largest, at U*, on x*.
+- Hence ``I(x) = U(x) - U(y) >= U(x) - U*`` for every state x.  If
+  ``U >= U*`` then ``psi >= c*(1 - U*) + (1 - c)*(U - U*)``, otherwise
+  ``psi >= c*(1 - U) > c*(1 - U*)``; equality needs ``U = U*`` and
+  ``I = 0``, which holds only at x*.
 
-    floor_j(c) = infected(full state at j-1) + c*(1 - U(full state at j)),
-
-where the infected term comes from the shared :class:`ThresholdLadder`
-and U is a cumulative sum of the degree masses.  The infected term never
-falls as j grows, so the floors stop at the first threshold whose
-infected term alone exceeds, by more than ``PRUNE_MARGIN``, the cheapest
-candidate passed: everyone vaccinated or a full-threshold state below
-it, whose cost the same ladder rung gives.  Only that prefix of rungs is
-solved.  The search refines the prefix in ascending floor order and
-stops at the first floor above the best cost found (by more than
-``PRUNE_MARGIN``), so no threshold that could win is skipped.  A refined
-threshold gets a ``GRID_POINTS`` fraction grid, tabulated on first use
-and kept across costs, then a golden-section refinement to
-``REFINE_WIDTH`` around the grid minimum; the objective is not proven
-unimodal in the fraction, hence grid-then-refine rather than pure golden
-section.  Every state evaluated or returned is a :class:`CandidateState`,
-so a zero fraction needs no special case here; only the fraction grid
-lays out its rows by hand.
+So the search refines one threshold, the one x* lies on, found once per
+solver from a cumulative sum.  It keeps the ``GRID_POINTS`` fraction
+grid, tabulated on first use and reused across costs, then a
+golden-section refinement to ``REFINE_WIDTH`` around the grid minimum;
+the computed objective is not proven unimodal in the fraction, hence
+grid-then-refine rather than pure golden section.  Everyone vaccinated
+stays the bottom candidate.  Its numbers are thus those of a search that
+refines every threshold.  Every state evaluated
+or returned is a :class:`CandidateState`, so a zero fraction needs no
+special case here; only the fraction grid lays out its rows by hand.
 """
 
 from __future__ import annotations
@@ -39,14 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .dbmf import EpidemicParams, SocialState, _probabilities, batch_endemic_v, endemic_state
-from .game import (
-    CandidateState,
-    GameSpec,
-    ThresholdLadder,
-    compare_candidates,
-    matching_ladder,
-    solve_pne,
-)
+from .game import CandidateState, GameSpec, compare_candidates, solve_pne
 from .weighting import weight
 
 __all__ = [
@@ -58,11 +52,7 @@ __all__ = [
     "inefficiency",
 ]
 
-# Slack on the floor test.  It sits far above the root solvers' |g| <= 1e-12,
-# so rounding in a floor or in a refined cost never prunes the optimum.
-PRUNE_MARGIN = 1e-10
-
-# Fraction grid per refined threshold, and the golden-section bracket width
+# Fraction grid on the refined threshold, and the golden-section bracket width
 # the refinement stops at.
 GRID_POINTS = 1024
 REFINE_WIDTH = 1e-10
@@ -129,71 +119,54 @@ def _golden_min(fn, a: float, b: float, width: float):
 
 
 class SocialOptimumSolver:
-    """Optimal-policy search with cost-independent work shared across costs.
+    """Optimal-policy search on the eradication-boundary threshold.
 
-    The endemic map, hence the infected and unprotected mass of every
-    state, does not depend on the vaccination cost.  The floors of each
-    cost are read off the ladder, whose rungs are solved once and only as
-    far as some cost's floors reach; the fraction table of a threshold is
-    tabulated the first time the floor test lets it through and then
-    combined with every later cost query.  Pass the ladder of an
-    equilibrium sweep over the same parameters as ``ladder`` so its rungs
-    are solved once.
+    The boundary index and its fraction table do not depend on the
+    vaccination cost: both are computed once per solver and combined with
+    every later cost query, as is the batch of random sanity states.
     """
 
-    def __init__(self, params: EpidemicParams, ladder: ThresholdLadder | None = None):
+    def __init__(self, params: EpidemicParams):
         self.params = params
-        self.ladder = matching_ladder(params, ladder)
-        self._tables = {}
 
-    def floors(self, cost: float) -> np.ndarray:
-        """Lower bounds on the social cost of the thresholds that can still win.
+    @cached_property
+    def _boundary(self) -> int:
+        """Index of the threshold holding the eradication-boundary state.
 
-        Entry j is ``infected(full state at j-1) + cost*(1 - U(full state
-        at j))``, with an empty state below the lowest threshold.  The
-        array ends before the first threshold whose infected term exceeds
-        the cheapest candidate passed by more than ``PRUNE_MARGIN``: every
-        later floor is at least that term, so no later state can win or tie.
+        The first degree at which the cumulative sum of ``d^2 m_d`` reaches
+        ``delta*<d>``; the last degree when no prefix does, so that the
+        everyone-unprotected state lies on it.
         """
         dist = self.params.distribution
-        vaccinated = 1.0 - np.cumsum(dist.mass)
-        floors, bound, below = [], cost, 0.0
-        for j in range(dist.size):
-            if below > bound + PRUNE_MARGIN:
-                break
-            floors.append(below + cost * vaccinated[j])
-            p = _probabilities(self.params, self.ladder.v_at(j))
-            below = float(np.sum(dist.mass[: j + 1] * p[: j + 1]))
-            # the full state at j: the infected term of floor j+1 plus its vaccination cost
-            bound = min(bound, below + cost * vaccinated[j])
-        return np.array(floors)
+        d = dist.degrees.astype(np.float64)
+        need = self.params.delta * dist.mean_degree
+        return min(int(np.searchsorted(np.cumsum(d * d * dist.mass), need)), dist.size - 1)
 
-    def _table(self, j: int):
-        """Fraction grid on threshold j with the infected and unprotected mass of each point."""
-        table = self._tables.get(j)
-        if table is None:
-            dist = self.params.distribution
-            f_grid = np.linspace(0.0, float(dist.mass[j]), GRID_POINTS)
-            states = np.zeros((GRID_POINTS, dist.size))
-            states[:, :j] = dist.mass[:j]
-            states[:, j] = f_grid
-            p = _probabilities(self.params, batch_endemic_v(self.params, states))
-            table = (f_grid, np.sum(states * p, axis=1), states.sum(axis=1))
-            self._tables[j] = table
-        return table
+    @cached_property
+    def _table(self):
+        """Fraction grid on the boundary threshold with the infected and unprotected mass of each point."""
+        dist, j = self.params.distribution, self._boundary
+        f_grid = np.linspace(0.0, float(dist.mass[j]), GRID_POINTS)
+        states = np.zeros((GRID_POINTS, dist.size))
+        states[:, :j] = dist.mass[:j]
+        states[:, j] = f_grid
+        p = _probabilities(self.params, batch_endemic_v(self.params, states))
+        return f_grid, np.sum(states * p, axis=1), states.sum(axis=1)
 
-    def _psi(self, j: int, f: float, cost: float) -> float:
-        dist = self.params.distribution
-        return social_cost(self.params, cost, CandidateState(dist, dist.degrees[j], f)).total
-
-    def _refine(self, j: int, cost: float):
-        """Best ``(fraction, cost)`` on threshold j: grid minimum, then golden section."""
-        f_grid, infected, unprotected = self._table(j)
+    def _refine(self, cost: float):
+        """Best ``(fraction, cost)`` on the boundary threshold: grid minimum, then golden section."""
+        f_grid, infected, unprotected = self._table
         psi = infected + cost * (1.0 - unprotected)
         k = int(np.argmin(psi))
         lo = f_grid[max(k - 1, 0)]
         hi = f_grid[min(k + 1, f_grid.size - 1)]
-        return _golden_min(lambda f: self._psi(j, f, cost), float(lo), float(hi), REFINE_WIDTH)
+        dist = self.params.distribution
+        threshold = dist.degrees[self._boundary]
+
+        def psi_at(f):
+            return social_cost(self.params, cost, CandidateState(dist, threshold, f)).total
+
+        return _golden_min(psi_at, float(lo), float(hi), REFINE_WIDTH)
 
     @cached_property
     def _sanity_masses(self):
@@ -204,33 +177,23 @@ class SocialOptimumSolver:
         return np.sum(states * p, axis=1), states.sum(axis=1)
 
     def solve(self, cost: float):
-        """Minimize the social cost over the candidate family.
+        """Minimize the social cost: the boundary threshold or everyone vaccinated.
 
         Returns ``(CandidateState, SocialCostBreakdown)``; the state has
-        ``threshold=None`` when vaccinating everyone is optimal.  Equal
-        costs resolve to the smallest threshold, and a zero refined fraction
-        comes back from :class:`CandidateState` as the full state at the
-        previous degree (or everyone vaccinated), the one representation of
-        that state.  A seeded batch of random non-candidate states, solved
-        once per solver, guards the threshold restriction at every cost.
+        ``threshold=None`` when vaccinating everyone is no dearer than the
+        best boundary-threshold state.  A zero refined fraction comes back
+        from :class:`CandidateState` as the full state at the previous
+        degree (or everyone vaccinated), the one representation of that
+        state.  A seeded batch of random non-candidate states, solved once
+        per solver, guards the restriction at every cost.
         """
         if not (0.0 < cost < 1.0):
             raise ValueError("vaccination cost must lie in (0, 1)")
         dist = self.params.distribution
-        floors = self.floors(cost)
-
+        f, psi = self._refine(cost)
         # everyone vaccinated is the bottom candidate; ties keep it
-        best_psi = cost
-        refined = {}
-        for j in map(int, np.argsort(floors, kind="stable")):
-            if floors[j] > best_psi + PRUNE_MARGIN:
-                break
-            refined[j] = self._refine(j, cost)
-            best_psi = min(best_psi, refined[j][1])
-        if best_psi < cost:
-            # the smallest threshold attaining the minimum, as an ascending scan keeps
-            j = min(k for k, (_, psi) in refined.items() if psi == best_psi)
-            state = CandidateState(dist, dist.degrees[j], refined[j][0])
+        if psi < cost:
+            state = CandidateState(dist, dist.degrees[self._boundary], f)
         else:
             state = CandidateState(dist, None)
         breakdown = social_cost(self.params, cost, state)
@@ -272,9 +235,8 @@ class InefficiencyReport:
 def inefficiency(spec: GameSpec) -> InefficiencyReport:
     """Compare the equilibrium of ``spec`` against the planner's optimum of its epidemic."""
     params = spec.params
-    ladder = ThresholdLadder(params)
-    pne = solve_pne(spec, ladder=ladder)
-    opt_state, opt_cost = SocialOptimumSolver(params, ladder=ladder).solve(spec.cost)
+    pne = solve_pne(spec)
+    opt_state, opt_cost = SocialOptimumSolver(params).solve(spec.cost)
     vaccination = spec.cost * (1.0 - pne.state.unprotected_mass)
     pne_cost = SocialCostBreakdown(pne.social_cost, pne.expected_infected, vaccination)
     gap = pne_cost.total - opt_cost.total

@@ -125,13 +125,22 @@ def _weight_array(spec: WeightingSpec, x: np.ndarray) -> np.ndarray:
 
 
 def weight_inverse(spec: WeightingSpec, y: float) -> float:
-    """Exact inverse of :func:`weight` (closed form, no root finding)."""
+    """Exact inverse of :func:`weight` (closed form, no root finding).
+
+    For a small alpha the exponent ``(-ln y)**(1/alpha)`` can pass the
+    float range (``y = 0.1`` at alpha = 0.001 gives about 10**362); the
+    inverse is then far below the least subnormal, and 0.0 is its
+    correctly rounded value.
+    """
     y = _check_unit(y, "perceived probability")
     if spec.is_identity:
         return y
     if y == 0.0 or y == 1.0:
         return y
-    return math.exp(-((-math.log(y)) ** (1.0 / spec.alpha)))
+    try:
+        return math.exp(-((-math.log(y)) ** (1.0 / spec.alpha)))
+    except OverflowError:
+        return 0.0
 
 
 def weight_derivative(spec: WeightingSpec, x: float) -> float:

@@ -40,6 +40,9 @@ def test_traced_job_counts_layers_and_uninstalls(tmp_path):
     metrics = per_layer_metrics(tracer, 0, job_s=1.0, artifact_bytes=0)
     assert metrics["game.solve_pne.calls"] > 0
     assert metrics["planner.social_cost.calls"] > 0
+    # spanned through cli.SocialOptimumSolver.solve: a planner path that
+    # bypassed it would leave the traced planner layer reading zero
+    assert metrics["planner.first_solve_s"] > 0
     assert patched
     for owner, attr, original, item in patched:
         current = owner[attr] if item else getattr(owner, attr)

@@ -355,6 +355,26 @@ class TestSolvePne:
         # the walk checks every rung, whatever the cost
         walk_pne(GameSpec(params, identity(), 0.5))
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        degrees=st.lists(st.integers(1, 60), min_size=3, max_size=12, unique=True),
+        data=st.data(),
+        delta_ratio=st.floats(0.01, 0.9999, exclude_min=True, exclude_max=True),
+    )
+    def test_window_tops_grow_past_the_subcritical_rungs(self, degrees, data, delta_ratio):
+        # the subcritical rungs (v = 0) form a prefix, and past it the tops
+        # succ(t_j)*v_j never fall: the order solve_pne's bisection assumes
+        n = len(degrees)
+        mass = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+        dist = DegreeDistribution(sorted(degrees), mass / mass.sum())
+        params = EpidemicParams(delta_ratio * dist.second_moment / dist.mean_degree, dist)
+        ladder = ThresholdLadder(params)
+        v = np.array([ladder.v_at(j) for j in range(n - 1)])
+        first = int(np.count_nonzero(v == 0.0))
+        assert np.all(v[:first] == 0.0)
+        tops = dist.degrees[1:] * v
+        assert np.all(np.diff(tops[first:]) >= 0.0)
+
     def test_walk_catches_a_non_monotone_ladder(self):
         # halving v on odd rungs drops their lower edge t*v_t/2 below the
         # previous upper edge t*v_{t-1} once the ladder saturates

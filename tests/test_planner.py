@@ -25,7 +25,8 @@ from vaxgame import (
     SocialOptimumSolver,
 )
 from vaxgame import planner
-from vaxgame.planner import REFINE_WIDTH, SANITY_STATES, _golden_min
+from vaxgame.dbmf import NEAR_CRITICAL_R, ROOT_TOL, _probabilities
+from vaxgame.planner import GRID_POINTS, REFINE_WIDTH, SANITY_STATES, _golden_min
 
 from conftest import count_rung_fills, eradication_boundary, random_distribution, random_params
 
@@ -153,29 +154,62 @@ class TestSocialOptimum:
                 assert state.fraction > 0.0
 
 
-def exhaustive_solve(solver, cost):
-    """The ascending scan the pruned search replaces: refine every threshold.
+def exhaustive_solve(params, cost):
+    """The ascending scan the boundary search replaces: refine every threshold.
 
-    Uses the solver's own fraction tables and golden-section refinement,
-    keeps the first threshold that strictly improves on everyone
-    vaccinated and on every earlier threshold.
+    Tabulates each threshold's fraction grid itself, refines its minimum
+    by the planner's golden section, and keeps the first threshold that
+    strictly improves on everyone vaccinated and on every earlier threshold.
     """
-    dist = solver.params.distribution
+    dist = params.distribution
     best_psi, best = cost, (None, 0.0)
     for j in range(dist.size):
-        f_grid, infected, unprotected = solver._table(j)
-        psi = infected + cost * (1.0 - unprotected)
+        f_grid = np.linspace(0.0, float(dist.mass[j]), GRID_POINTS)
+        states = np.zeros((GRID_POINTS, dist.size))
+        states[:, :j] = dist.mass[:j]
+        states[:, j] = f_grid
+        p = _probabilities(params, batch_endemic_v(params, states))
+        psi = np.sum(states * p, axis=1) + cost * (1.0 - states.sum(axis=1))
         k = int(np.argmin(psi))
         lo = f_grid[max(k - 1, 0)]
         hi = f_grid[min(k + 1, f_grid.size - 1)]
+        threshold = dist.degrees[j]
         f_best, psi_best = _golden_min(
-            lambda f: solver._psi(j, f, cost), float(lo), float(hi), REFINE_WIDTH
+            lambda f: social_cost(params, cost, CandidateState(dist, threshold, f)).total,
+            float(lo),
+            float(hi),
+            REFINE_WIDTH,
         )
         if psi_best < best_psi:
             best_psi, best = psi_best, (j, float(f_best))
     j, f = best
     state = CandidateState(dist, None if j is None else int(dist.degrees[j]), f)
-    return state, social_cost(solver.params, cost, state)
+    return state, social_cost(params, cost, state)
+
+
+def near_boundary_params(rng, dist, full):
+    """Parameters whose boundary fraction lies 1e-16 to 1e-8 (relative to
+    the degree's mass) above 0, or below the full mass if ``full``."""
+    d = dist.degrees.astype(np.float64)
+    cum = np.cumsum(d * d * dist.mass)
+    # a fraction near 0 at the lowest degree would need delta near 0
+    j = int(rng.integers(0 if full else 1, dist.size))
+    gap = 10.0 ** rng.uniform(-16, -8) * float(dist.mass[j]) * d[j] ** 2
+    need = float(cum[j]) - gap if full else float(cum[j - 1]) + gap
+    return EpidemicParams(need / dist.mean_degree, dist)
+
+
+def record_batch_rows(monkeypatch):
+    """Record the row count of every planner ``batch_endemic_v`` call from here on."""
+    batch = planner.batch_endemic_v
+    rows = []
+
+    def counted(params, states, *args, **kwargs):
+        rows.append(len(states))
+        return batch(params, states, *args, **kwargs)
+
+    monkeypatch.setattr(planner, "batch_endemic_v", counted)
+    return rows
 
 
 def reevaluating_golden_min(fn, a, b, width):
@@ -229,66 +263,26 @@ class TestGoldenMin:
 
 
 class TestPruning:
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(
-        degrees=st.lists(st.integers(1, 30), min_size=2, max_size=6, unique=True),
-        data=st.data(),
-        delta_ratio=st.floats(0.05, 0.99),
-        cost=st.floats(0.01, 0.99),
-    )
-    def test_floor_is_a_lower_bound(self, degrees, data, delta_ratio, cost):
-        n = len(degrees)
-        mass = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
-        dist = DegreeDistribution(sorted(degrees), mass / mass.sum())
-        params = EpidemicParams(delta_ratio * dist.second_moment / dist.mean_degree, dist)
-        floors = SocialOptimumSolver(params).floors(cost)
-        d = dist.degrees.astype(np.float64)
+    """The search refines the eradication-boundary threshold and prunes the rest."""
 
-        def psi(states):
-            v = batch_endemic_v(params, states)
-            p = d * v[:, None] / (params.delta + d * v[:, None])
-            return np.sum(states * p, axis=1) + cost * (1.0 - states.sum(axis=1))
-
-        grid_min = []
-        for j in range(n):
-            states = np.zeros((200, n))
-            states[:, :j] = dist.mass[:j]
-            states[:, j] = np.linspace(0.0, float(dist.mass[j]), 200)
-            grid_min.append(float(np.min(psi(states))))
-        for j in range(len(floors)):
-            assert floors[j] <= grid_min[j] + 1e-12
-        # the stop: no threshold past the prefix gets below the cheapest of
-        # everyone vaccinated and the prefix's full-threshold states
-        full = np.tril(np.tile(dist.mass, (len(floors), 1)))
-        cheapest = min(cost, float(np.min(psi(full))))
-        for j in range(len(floors), n):
-            assert grid_min[j] > cheapest
-
-    def test_floors_stop_before_the_last_threshold(self):
-        params = EpidemicParams(2.0, power_law(1, 100, 3.0))
-        assert len(SocialOptimumSolver(params).floors(0.5)) == 15
-
-    def test_sweep_fills_a_short_prefix_of_rungs(self, monkeypatch):
-        # 19 costs at d_max = 3000 reach 15 rungs; filling every rung is 2,999
+    def test_sweep_fills_no_rung_and_solves_two_batches(self, monkeypatch):
+        # 19 costs at d_max = 3000: the boundary comes from a cumulative sum,
+        # so no ladder rung is filled, and the only root batches are the
+        # boundary threshold's fraction grid and the sanity states
         params = EpidemicParams(2.0, power_law(1, 3000, 3.0))
         rungs = count_rung_fills(monkeypatch)
+        rows = record_batch_rows(monkeypatch)
         solver = SocialOptimumSolver(params)
         for c in np.linspace(0.05, 0.95, 19):
             solver.solve(float(c))
-        assert rungs() <= 16
+        assert rungs() == 0
+        assert sorted(rows) == sorted([GRID_POINTS, SANITY_STATES])
 
     def test_sanity_states_solved_once_per_solver(self, monkeypatch):
         # the random states do not depend on the cost: one batch of them
         # serves a whole sweep, and the check still runs at every cost
         params = EpidemicParams(2.0, power_law(1, 100, 3.0))
-        batch = planner.batch_endemic_v
-        rows = []
-
-        def counted(params, states, *args, **kwargs):
-            rows.append(len(states))
-            return batch(params, states, *args, **kwargs)
-
-        monkeypatch.setattr(planner, "batch_endemic_v", counted)
+        rows = record_batch_rows(monkeypatch)
         solver = SocialOptimumSolver(params)
         costs = np.linspace(0.05, 0.95, 19)
         for c in costs:
@@ -302,41 +296,28 @@ class TestPruning:
 
     def test_pruned_search_matches_exhaustive_scan(self):
         rng = np.random.default_rng(113)
-        skipped = 0
-        most_refined = 0
+        cases = []
         for _ in range(20):
             dist = random_distribution(rng)
-            params = random_params(rng, dist, lo=0.1, hi=0.95)
-            cost = float(rng.uniform(0.02, 0.98))
-            pruned = SocialOptimumSolver(params)
-            state, bd = pruned.solve(cost)
-            ref_state, ref_bd = exhaustive_solve(SocialOptimumSolver(params), cost)
+            cases.append((random_params(rng, dist, lo=0.1, hi=0.95), float(rng.uniform(0.02, 0.98))))
+        # boundary fractions a rounding away from 0 or from the full mass,
+        # where the neighbouring threshold's full state nearly ties
+        for full in (False, True) * 6:
+            params = near_boundary_params(rng, random_distribution(rng), full)
+            cases.append((params, float(rng.uniform(0.02, 0.98))))
+        for params, cost in cases:
+            state, bd = SocialOptimumSolver(params).solve(cost)
+            ref_state, ref_bd = exhaustive_solve(params, cost)
             assert state.threshold == ref_state.threshold
             assert state.fraction == ref_state.fraction
             assert bd.total == ref_bd.total
-            skipped += dist.size - len(pruned._tables)
-            most_refined = max(most_refined, len(pruned._tables))
-        # the floors prune on these instances, and some instance refines a
-        # second threshold after the first one set the incumbent
-        assert skipped > 0 and most_refined > 1
+            assert bd.infected_term == ref_bd.infected_term
 
     def test_shared_ladder(self):
+        # the equilibrium refuses a ladder of another epidemic
         dist = power_law(1, 40, 3.0)
-        params = EpidemicParams(2.0, dist)
-        ladder = ThresholdLadder(params)
-        shared = SocialOptimumSolver(EpidemicParams(2.0, power_law(1, 40, 3.0)), ladder=ladder)
-        assert shared.ladder is ladder
-        state, bd = shared.solve(0.4)
-        ref_state, ref_bd = SocialOptimumSolver(params).solve(0.4)
-        assert (state.threshold, state.fraction, bd.total) == (
-            ref_state.threshold,
-            ref_state.fraction,
-            ref_bd.total,
-        )
-        # the planner and the equilibrium refuse a ladder of another epidemic alike
+        ladder = ThresholdLadder(EpidemicParams(2.0, dist))
         for other in (EpidemicParams(2.5, dist), EpidemicParams(2.0, power_law(1, 39, 3.0))):
-            with pytest.raises(ValueError, match="curing rate or degree set"):
-                SocialOptimumSolver(other, ladder=ladder)
             with pytest.raises(ValueError, match="curing rate or degree set"):
                 solve_pne(GameSpec(other, identity(), 0.5), ladder=ladder)
 
@@ -348,6 +329,56 @@ class TestPruning:
             state, _ = solver.solve(c)
             assert state.threshold == t_b
             assert state.fraction == pytest.approx(f_b, abs=1e-9)
+
+
+class TestInfectedMassBound:
+    """``I(x) >= U(x) - U*``, the fact the boundary search rests on.
+
+    U* is the unprotected mass of the eradication-boundary state, which
+    ``conftest.eradication_boundary`` builds from its own cumulative sum.
+    The residual state ``x*(1 - p)`` of an endemic x has R = 1 up to the
+    root's residual, and a disease-free x has R <= 1 + NEAR_CRITICAL_R;
+    either excess of R buys at most ``delta*<d>/d_min^2`` of unprotected
+    mass per unit, which with a few ulps of summation is the allowance.
+    """
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        degrees=st.lists(st.integers(1, 30), min_size=2, max_size=8, unique=True),
+        data=st.data(),
+        delta_ratio=st.floats(0.01, 0.9999),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_infected_mass_covers_the_excess_unprotected_mass(self, degrees, data, delta_ratio, seed):
+        n = len(degrees)
+        mass = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+        dist = DegreeDistribution(sorted(degrees), mass / mass.sum())
+        params = EpidemicParams(delta_ratio * dist.second_moment / dist.mean_degree, dist)
+        t_b, f_b, u_star = eradication_boundary(params)
+
+        # random states with every degree partly vaccinated, then the
+        # threshold path: 33 fractions on every threshold, and fractions
+        # a relative 1e-12 to 1e-3 either side of the boundary fraction
+        rng = np.random.default_rng(seed)
+        rows = [rng.uniform(size=(40, n)) * dist.mass]
+        j_b = dist.index_of(t_b)
+        for j in range(n):
+            near = f_b * (1.0 + np.outer([-1.0, 1.0], 10.0 ** -np.arange(3, 13)).ravel())
+            fractions = np.linspace(0.0, float(dist.mass[j]), 33)
+            if j == j_b:
+                fractions = np.concatenate([fractions, [f_b], np.clip(near, 0.0, float(dist.mass[j]))])
+            path = np.zeros((fractions.size, n))
+            path[:, :j] = dist.mass[:j]
+            path[:, j] = fractions
+            rows.append(path)
+        states = np.vstack(rows)
+
+        infected = np.sum(states * _probabilities(params, batch_endemic_v(params, states)), axis=1)
+        excess = states.sum(axis=1) - u_star
+        d_min = float(dist.degrees[0])
+        allowance = (NEAR_CRITICAL_R + ROOT_TOL) * params.delta * dist.mean_degree / d_min**2
+        allowance += 64 * np.finfo(np.float64).eps
+        assert np.min(infected - excess) >= -allowance
 
 
 class TestInefficiency:

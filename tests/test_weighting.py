@@ -45,6 +45,15 @@ class TestWeight:
             assert weight_inverse(spec, 0.0) == 0.0
             assert weight_inverse(spec, 1.0) == 1.0
 
+    def test_inverse_past_the_float_range_rounds_to_zero(self):
+        # (-ln 0.1)**1000 is about 1e362, so w^-1(0.1) = exp(-1e362): the
+        # exponent overflows, and 0.0 is the correctly rounded inverse
+        spec = prelec(0.001)
+        assert weight_inverse(spec, 0.1) == 0.0
+        inverse = [weight_inverse(spec, y) for y in np.linspace(0.001, 0.999, 999)]
+        assert np.all(np.diff(inverse) >= 0.0)
+        assert inverse[-1] > 0.0
+
     def test_alpha_one_is_identity(self):
         assert prelec(1.0).is_identity
         assert weight(prelec(1.0), 0.123456) == 0.123456
