@@ -157,29 +157,6 @@ def _require_costs(scenario: Scenario):
         raise ScenarioError("this command requires 'cost' in the scenario")
 
 
-def _solve_costs(solve_cost, count: int) -> list:
-    """``[solve_cost(i) for i in range(count)]``, on two processes where two CPUs are free.
-
-    Every table command, ``pne``, ``opt`` and ``bounds``, solves its costs
-    through this.  Where ``os.fork`` exists, at least two CPUs are in this
-    process's affinity set and there are at least two costs, a forked
-    child solves the odd indices while this process solves the even ones
-    (:func:`vaxgame.forking.interleave`); otherwise the loop runs here.
-    The results, and the exception of the first failing cost, are the
-    serial loop's either way, since each cost's answer depends on that
-    cost alone.  The child's root kernel calls BLAS; that is safe after
-    the fork, since OpenBLAS's ``pthread_atfork`` handler stops its
-    thread pool before one.
-    """
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    if count >= 2 and hasattr(os, "fork") and len(cpus) >= 2:
-        # imported on first use, as forkwriter is
-        from .forking import interleave
-
-        return interleave(solve_cost, count)
-    return [solve_cost(i) for i in range(count)]
-
-
 def _certified_equilibria(scenario: Scenario, params: EpidemicParams, ladder: ThresholdLadder, c: float):
     """Yield ``(alpha, result)`` for each weighting's equilibrium at cost ``c``.
 
@@ -203,10 +180,11 @@ def cmd_pne(scenario: Scenario) -> tuple[list, list]:
     """Equilibrium table rows for every (cost, weighting) pair.
 
     One row per certified equilibrium of :func:`_certified_equilibria`,
-    run over the costs by :func:`_solve_costs`, the odd ones in a forked
-    child where two CPUs are free.  Each process fills its own ladder; a
-    rung is a function of its index alone, so the rows are the same bytes
-    either way.
+    run over the costs by :func:`vaxgame.forking.interleave`, the odd ones
+    in a forked child where a second process may run.  Each process fills
+    its own ladder; a rung is a function of its index alone, so the rows
+    are the same bytes either way, and so is the exception of the first
+    failing cost.
     """
     _require_costs(scenario)
     params = scenario.params
@@ -220,7 +198,10 @@ def cmd_pne(scenario: Scenario) -> tuple[list, list]:
             for alpha, res in _certified_equilibria(scenario, params, ladder, c)
         ]
 
-    return header, [row for rows in _solve_costs(solve_cost, len(scenario.costs)) for row in rows]
+    # imported on first use, as csvtext is, so importing the package does not compile it
+    from .forking import interleave
+
+    return header, [row for rows in interleave(solve_cost, len(scenario.costs)) for row in rows]
 
 
 def cmd_social_opt(scenario: Scenario) -> tuple[list, list]:
@@ -230,9 +211,9 @@ def cmd_social_opt(scenario: Scenario) -> tuple[list, list]:
     ``pne_social_cost`` is ``solve pne``'s ``social_cost`` and a failed
     certificate exits as ``solve pne`` does.  Each cost solves its
     equilibria, then the planner's optimum, run over the costs by
-    :func:`_solve_costs`.  Each process keeps its own ladder and its own
-    :class:`SocialOptimumSolver` table; every answer depends on its cost
-    alone, so the rows are the same bytes either way.
+    :func:`vaxgame.forking.interleave`.  Each process keeps its own ladder
+    and its own :class:`SocialOptimumSolver` table; every answer depends
+    on its cost alone, so the rows are the same bytes either way.
     """
     _require_costs(scenario)
     params = scenario.params
@@ -269,15 +250,17 @@ def cmd_social_opt(scenario: Scenario) -> tuple[list, list]:
             for alpha, res in equilibria
         ]
 
-    return header, [row for rows in _solve_costs(solve_cost, len(scenario.costs)) for row in rows]
+    from .forking import interleave
+
+    return header, [row for rows in interleave(solve_cost, len(scenario.costs)) for row in rows]
 
 
 def cmd_bounds(scenario: Scenario) -> tuple[list, list]:
     """Threshold-sandwich table over the cost grid.
 
     One :func:`ratio_sandwich` point per cost, run over the costs by
-    :func:`_solve_costs` as :func:`cmd_pne` runs its costs, with one
-    ladder for each process.
+    :func:`vaxgame.forking.interleave` as :func:`cmd_pne` runs its costs,
+    with one ladder for each process.
     """
     _require_costs(scenario)
     opts = scenario.options.get("bounds", {})
@@ -319,7 +302,9 @@ def cmd_bounds(scenario: Scenario) -> tuple[list, list]:
             int(p.uninformative),
         ]
 
-    return header, _solve_costs(solve_cost, len(scenario.costs))
+    from .forking import interleave
+
+    return header, interleave(solve_cost, len(scenario.costs))
 
 
 def cmd_dynamics(scenario: Scenario, out, fmt: str):
@@ -327,16 +312,17 @@ def cmd_dynamics(scenario: Scenario, out, fmt: str):
 
     One float row per sample, the time first, goes to ``out`` as ``fmt``
     ("csv" or "json"), formatted block by block as the integrator fills
-    them, so the whole table is never held.  Where ``os.fork`` exists and
-    ``out`` has a file descriptor, such as the ``--out`` file, the blocks
-    are formatted in a forked writer process (:mod:`vaxgame.forkwriter`)
-    while this one steps on; the integrator, its range check and its
-    table cap stay here.  The fork is safe though numpy's OpenBLAS
-    workers make this process multi-threaded: the child calls no BLAS,
-    takes no lock those threads hold and never returns into the caller.
-    The writer is reaped before this returns or raises.  Without a fork,
-    or for an ``out`` with no descriptor such as :class:`io.StringIO`,
-    the same sink formats here; the bytes are the same either way.
+    them, so the whole table is never held.  Where a second process may
+    run and ``out`` has a file descriptor, such as the ``--out`` file, the
+    blocks are formatted in a forked writer process
+    (:class:`vaxgame.forking.ForkedWriter`) while this one steps on; the
+    integrator, its range check and its table cap stay here.  The fork is
+    safe though numpy's OpenBLAS workers make this process
+    multi-threaded: the child calls no BLAS, takes no lock those threads
+    hold and never returns into the caller.  The writer is reaped before
+    this returns or raises.  Otherwise, as for an ``out`` with no
+    descriptor such as :class:`io.StringIO`, the same sink formats here;
+    the bytes are the same either way.
     """
     opts = scenario.options.get("dynamics", {})
     params = scenario.params
@@ -371,13 +357,9 @@ def cmd_dynamics(scenario: Scenario, out, fmt: str):
     if type(stride) is not int or stride < 1:
         raise ScenarioError("dynamics 'sample_stride' must be an integer of at least 1")
     header = ["t"] + [f"p_{int(d)}" for d in dist.degrees]
-    sink = _TableSink(out, fmt, header)
-    if hasattr(os, "fork") and hasattr(out, "fileno"):
-        # imported on first use, as csvtext is
-        from .forkwriter import ForkedWriter
+    from .forking import ForkedWriter
 
-        sink = ForkedWriter(sink)
-    with sink:
+    with ForkedWriter(_TableSink(out, fmt, header)) as sink:
         try:
             integrate_dbmf(params, state, p0, float(t_end), None if dt is None else float(dt), stride, sink)
         except TableSizeError as exc:
@@ -482,36 +464,29 @@ class _TableSink:
     integrator raises on a NaN or an infinity.  The CSV header, or the
     JSON opening bracket, goes out with the first block, so a run refused
     before it writes nothing; :meth:`close`, or leaving the ``with`` block
-    cleanly, ends the artifact.  A forked writer's parent calls
-    :meth:`begin` itself, then the child's copy of the sink formats every
-    block and the closing: the child calls no BLAS, takes no lock numpy's
-    OpenBLAS worker threads hold, and never returns into the caller.
+    cleanly, ends the artifact.  Behind a forked writer the child's copy
+    of the sink formats every block, the opening and the closing: the
+    child calls no BLAS, takes no lock numpy's OpenBLAS worker threads
+    hold, and never returns into the caller.
     """
 
     def __init__(self, out, fmt: str, header: list):
         self.out = out
-        self.lead = None  # the text before the next block, once begun
         self.csv = None
+        # lead is the text written before the next block: the opening before the first
         if fmt == "csv":
             # imported on first use: without a bytecode cache, compiling it
             # would add to the import time and to the import's peak memory
             from . import csvtext
 
             self.csv = csvtext
-            self.opening, self.separator, self.closing = ",".join(header) + "\n", "", ""
+            self.lead, self.separator, self.closing = ",".join(header) + "\n", "", ""
         else:
-            self.opening, self.separator, self.closing = "[\n", ",\n", "\n]\n"
+            self.lead, self.separator, self.closing = "[\n", ",\n", "\n]\n"
             keys = (json.dumps(key).replace("%", "%%") for key in header)
             self.row_format = "  {\n" + ",\n".join(f"    {key}: %r" for key in keys) + "\n  }"
 
-    def begin(self):
-        """Write the CSV header or the JSON opening bracket."""
-        self.out.write(self.opening)
-        self.lead = ""
-
     def __call__(self, block: np.ndarray):
-        if self.lead is None:
-            self.begin()
         self.out.write(self.lead)
         self.lead = self.separator
         if self.csv is not None:

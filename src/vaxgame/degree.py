@@ -8,6 +8,8 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["DegreeDistribution", "power_law", "explicit"]
@@ -148,6 +150,10 @@ def power_law(d_min: int, d_max: int, beta: float) -> DegreeDistribution:
         raise ValueError(f"invalid degree range [{d_min}, {d_max}]")
     if not beta > 0:
         raise ValueError("power-law exponent must be positive")
+    if _last_mass_bound(d_min, d_max, float(beta)) < MIN_MASS * (1.0 - 1e-9):
+        # refused before the n-wide arrays are allocated, as DegreeDistribution
+        # would refuse them; the bound is loose, and 1e-9 covers its rounding
+        raise ValueError(f"every mass entry must be at least {MIN_MASS}")
     degrees = np.arange(d_min, d_max + 1, dtype=np.int64)
     weights = degrees.astype(np.float64) ** (-float(beta))
     kappa = 1.0 / float(weights.sum())
@@ -155,6 +161,18 @@ def power_law(d_min: int, d_max: int, beta: float) -> DegreeDistribution:
     # guard against a drifted sum after the multiply
     mass = mass / mass.sum()
     return DegreeDistribution(degrees, mass, normalization=kappa, exponent=float(beta))
+
+
+def _last_mass_bound(d_min: int, d_max: int, beta: float) -> float:
+    """An upper bound on the last mass d_max**(-beta) / sum of d**(-beta), in logarithms.
+
+    As x**(-beta) falls, the sum is at least its integral over [d_min, d_max + 1]:
+    d_min**(1 - beta) * L * expm1(z)/z, with L = ln((d_max + 1)/d_min) and z = (1 - beta)*L.
+    """
+    span = math.log(d_max + 1) - math.log(d_min)
+    z = (1.0 - beta) * span
+    log_integral = (1.0 - beta) * math.log(d_min) + math.log(span * (math.expm1(z) / z if z else 1.0))
+    return math.exp(-beta * math.log(d_max) - log_integral)
 
 
 def explicit(mass_by_degree: dict) -> DegreeDistribution:

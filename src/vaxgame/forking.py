@@ -1,30 +1,54 @@
-"""The package's one fork primitive, and the cost split built on it.
+"""The package's one fork primitive, its one gate, and the two forks built on them.
 
-:class:`ForkedChild` forks a child that runs one function and exits.  The
-forked trajectory writer (:mod:`vaxgame.forkwriter`) and
-:func:`interleave`, which solves the odd-indexed costs of a sweep in a
-child while the parent solves the even ones, are its two users.
+:class:`ForkedChild` forks a child that runs one function and exits.  It
+has two users: :func:`interleave`, which solves the odd-indexed costs of
+a sweep in a child while the parent solves the even ones, and
+:class:`ForkedWriter`, which formats a streamed trajectory in a child
+while the parent integrates.  Both fork only where a second process may
+run (:func:`_second_process`): ``os.fork`` exists and at least two CPUs
+are usable, read from ``os.sched_getaffinity`` where the platform has it
+and from ``os.cpu_count()`` otherwise.  Without that, or when the fork
+fails, the same work runs in this process, with the same results.
 
 The child leaves only through :func:`os._exit`, so it never runs the
 caller's code, finalizers or exit handlers.  An exception it ends with is
 pickled back on an error pipe, and the parent raises it as its own.  The
 parent reaps the child in :meth:`ForkedChild.finish`; if a signal
 handler's exception interrupts that wait, the child is killed and reaped
-before the exception goes on.
+before the exception goes on.  Every raw write and read loops until all
+of its bytes are through, since a signal handled during a pipe write,
+such as a profiler's SIGALRM, can cut the write short.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import os
 import pickle
 import signal
+import struct
 import warnings
 
-__all__ = ["ForkedChild", "interleave"]
+import numpy as np
+
+__all__ = ["ForkedChild", "ForkedWriter", "interleave"]
 
 # the exit code of a child whose function raised
 _FAILED = 1
+# the writer's exit code at end of file before the end frame
+_ABORTED = 2
+# a trajectory frame's byte length; 0 is the end frame, since every block has a row
+_LENGTH = struct.Struct("<q")
+
+
+def _second_process() -> bool:
+    """Whether a second process may run: ``os.fork`` exists and two CPUs are usable."""
+    if not hasattr(os, "fork"):
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
 
 
 def _write_all(fd: int, data) -> None:
@@ -144,15 +168,19 @@ def _run(work, errors: int) -> int:
 def interleave(solve, count: int) -> list:
     """``[solve(i) for i in range(count)]``, the odd ``i`` solved in a forked child.
 
-    This process solves the even indices while the child solves the odd
+    The table commands, ``solve pne``, ``opt`` and ``bounds``, run their
+    costs through this.  With fewer than two indices, where no second
+    process may run, or when the fork fails, the loop runs here.  Else
+    this process solves the even indices while the child solves the odd
     ones and sends its results back pickled, so each index's result is
     the object ``solve`` made, bytes and type alike.  Each side stops at
     its first failure; the exception raised is that of the lowest failing
     index, as the serial loop would raise it.  Whatever ``solve`` caches
-    (a ladder of rungs) fills separately on each side.  When the fork
-    fails, every index is solved here.  No child is left when this
-    returns or raises.
+    (a ladder of rungs) fills separately on each side.  No child is left
+    when this returns or raises.
     """
+    if count < 2 or not _second_process():
+        return [solve(i) for i in range(count)]
     rows_r, rows_w = os.pipe()
     child = ForkedChild("cost solver")
     with open(rows_r, "rb") as rows:
@@ -203,3 +231,128 @@ def _solve_odd(solve, count: int, fd: int) -> int:
     if failure is not None:
         raise failure
     return 0
+
+
+class _Text(list):
+    """An ``out`` that collects the sink's text for one raw write."""
+
+    write = list.append
+
+    def drain(self) -> bytes:
+        data = "".join(self).encode("utf-8")
+        self.clear()
+        return data
+
+
+def _read_into(fd: int, buffer: bytearray) -> bool:
+    """Fill ``buffer`` from ``fd``; False if end of file comes first."""
+    view = memoryview(buffer)
+    while view:
+        got = os.readv(fd, [view])
+        if got == 0:
+            return False
+        view = view[got:]
+    return True
+
+
+class ForkedWriter:
+    """Block sink that formats with ``sink`` in a forked child; a context manager.
+
+    ``sink``, a ``cli._TableSink``, writes its opening (the CSV header or the
+    JSON bracket) with its first block and its closing at ``close()``.  The
+    first block decides: where a second process may run, ``sink.out`` has a
+    ``fileno`` that does not raise :class:`io.UnsupportedOperation` (as
+    :class:`io.StringIO`'s does) and the fork succeeds, each block goes down
+    a pipe as one frame, its byte length as a little-endian int64, then the
+    raw float64 rows.  The child formats the frames with its copy of
+    ``sink`` into ``out``'s descriptor, past any text ``out`` buffers,
+    while the parent integrates on.  A frame of length 0 ends the table:
+    the child writes the closing and exits 0; at end of file without it it
+    exits with no closing.  Otherwise ``sink`` formats here, the same bytes.
+
+    A failed child sends its exception back; the parent raises it in place
+    of the ``BrokenPipeError`` its next frame meets, or on leaving the
+    ``with`` block cleanly.  Leaving it on an exception aborts the table.
+    Either way no child is left.
+    """
+
+    def __init__(self, sink):
+        self.sink = sink
+        self.send = None  # the per-block call, chosen at the first block
+        self.child = ForkedChild("trajectory writer")
+
+    def __call__(self, block: np.ndarray):
+        if self.send is None:
+            self.send = self._start(block.shape[1])
+        self.send(block)
+
+    def _start(self, width: int):
+        """Fork the writer for rows of ``width`` floats; returns the per-block call."""
+        fileno = getattr(self.sink.out, "fileno", None)
+        if fileno is None or not _second_process():
+            return self.sink
+        try:
+            fd = fileno()
+        except io.UnsupportedOperation:
+            return self.sink
+        frames_r, self.frames = os.pipe()
+        try:
+            forked = self.child.start(lambda: _serve(self.sink, width, frames_r, fd), self.frames)
+        finally:
+            os.close(frames_r)
+        if not forked:  # no process to spare: format here
+            os.close(self.frames)
+            return self.sink
+        return self._send
+
+    def _send(self, block: np.ndarray):
+        try:
+            _write_all(self.frames, _LENGTH.pack(block.nbytes))
+            _write_all(self.frames, block)
+        except BrokenPipeError:
+            raise self._finish() from None
+
+    def _finish(self):
+        """Close the frame pipe and reap the writer; returns its error, None if it committed."""
+        os.close(self.frames)
+        return self.child.finish()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if not self.child.pid:
+            # formatted here, or the writer was reaped and its error raised
+            if exc_type is None:
+                self.sink.close()
+            return False
+        if exc_type is not None:
+            self._finish()
+            return False
+        try:
+            _write_all(self.frames, _LENGTH.pack(0))
+        except BrokenPipeError:
+            pass  # the writer has failed; its error is read below
+        error = self._finish()
+        if error is not None:
+            raise error
+        return False
+
+
+def _serve(sink, width: int, frames: int, fd: int) -> int:
+    """The writer's loop: format each frame into ``fd`` until the end frame; returns the exit code."""
+    text = _Text()
+    sink.out = text
+    length = bytearray(_LENGTH.size)
+    while _read_into(frames, length):
+        (size,) = _LENGTH.unpack(length)
+        if size == 0:
+            sink.close()
+            _write_all(fd, text.drain())
+            return 0
+        rows = bytearray(size)
+        if not _read_into(frames, rows):
+            break
+        sink(np.frombuffer(rows).reshape(-1, width))
+        _write_all(fd, text.drain())
+    return _ABORTED

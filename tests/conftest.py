@@ -71,8 +71,9 @@ def count_forks(monkeypatch):
 def set_cpus(monkeypatch, count):
     """Make ``os.sched_getaffinity`` report ``count`` CPUs from here on.
 
-    ``solve pne`` and ``solve bounds`` split their costs over two
-    processes only where it reports at least two.
+    ``solve pne``, ``opt`` and ``bounds`` split their costs over two
+    processes, and ``solve dynamics`` forks its writer, only where it
+    reports at least two.
     """
     monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(count)), raising=False)
 

@@ -9,7 +9,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from conftest import WriteOnly, assert_no_child, count_forks
+from conftest import WriteOnly, assert_no_child, count_forks, set_cpus
 
 from vaxgame.cli import ScenarioError, _TableSink, cmd_dynamics, load_scenario, main
 from vaxgame.dbmf import BLOCK_ROWS, MAX_TABLE_BYTES
@@ -78,6 +78,15 @@ class TestScenarioValidation:
         obj = k4_scenario(cost=1.2)
         with pytest.raises(ScenarioError):
             load_scenario(write_scenario(tmp_path, obj))
+
+    def test_oversized_power_law_is_a_scenario_error(self, tmp_path, capsys):
+        obj = {"distribution": {"type": "powerlaw", "d_min": 1, "d_max": 10**15, "beta": 3}, "delta": 2.0, "cost": 0.5}
+        scenario = write_scenario(tmp_path, obj)
+        assert main(["solve", "pne", "--scenario", scenario, "--out", str(tmp_path / "pne.csv")]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ScenarioError",
+            "message": "invalid distribution: every mass entry must be at least 1e-15",
+        }
 
     def test_unknown_keys_rejected(self, tmp_path):
         obj = k4_scenario()
@@ -396,6 +405,7 @@ class TestArtifact:
     def test_no_writer_outlives_a_finished_run(self, tmp_path, monkeypatch):
         # 1,000 steps: sixteen blocks go through the writer process
         scenario = self.dynamics_scenario(tmp_path, t_end=20.0)
+        set_cpus(monkeypatch, 2)
         forks = count_forks(monkeypatch)
         out = tmp_path / "dyn.csv"
         assert main(["solve", "dynamics", "--scenario", scenario, "--out", str(out)]) == 0
@@ -427,6 +437,7 @@ class TestArtifact:
             format_block(sink, block)
 
         monkeypatch.setattr(_TableSink, "__call__", failing)
+        set_cpus(monkeypatch, 2)
         forks = count_forks(monkeypatch)
         # 10,000 steps: 157 frames, far more than the pipe holds
         scenario = self.dynamics_scenario(tmp_path, t_end=200.0)

@@ -5,7 +5,7 @@ one path.  With two CPUs a forked child solves the odd-indexed costs
 while the parent solves the even ones (``vaxgame.forking.interleave``);
 ``opt`` keeps its planner tables in each process.  The tests
 make ``os.sched_getaffinity`` report two CPUs, or one, so they split, or
-do not, on any host.
+do not, on any host; one test reads the host's own CPUs.
 """
 
 import dataclasses
@@ -87,6 +87,30 @@ def test_without_os_fork_the_costs_are_solved_here(tmp_path, monkeypatch, capsys
     assert_no_child()
 
 
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_without_sched_getaffinity_the_cpu_count_decides(tmp_path, monkeypatch, capsys, cpus):
+    scenario = SCENARIOS / "bounds_d500.json"
+    set_cpus(monkeypatch, 1)
+    here = run(capsys, "pne", scenario, tmp_path / "here.csv")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    forks = count_forks(monkeypatch)
+    assert run(capsys, "pne", scenario, tmp_path / "pne.csv") == here
+    assert forks() == int(cpus >= 2)
+    assert_no_child()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no os.sched_getaffinity")
+def test_the_hosts_own_cpus_decide(tmp_path, monkeypatch, capsys):
+    # unpatched: one fork where this process may run on two CPUs, as on the
+    # CI runners, and none where it is pinned to one (taskset -c 0)
+    forks = count_forks(monkeypatch)
+    rc, _, data = run(capsys, "pne", SCENARIOS / "bounds_d500.json", tmp_path / "pne.csv")
+    assert rc == 0 and data
+    assert forks() == int(len(os.sched_getaffinity(0)) >= 2)
+    assert_no_child()
+
+
 def failing_certificate(monkeypatch, costs):
     """Make ``cli.verify_pne`` fail every weighting's certificate at ``costs``."""
     verify = cli.verify_pne
@@ -135,7 +159,8 @@ def test_a_bounds_failure_in_each_half_is_the_serial_error(tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize("count", [1, 2, 5, 8])
-def test_the_odd_indices_are_solved_in_one_child(count):
+def test_the_odd_indices_are_solved_in_one_child(monkeypatch, count):
+    set_cpus(monkeypatch, 2)
     parent = os.getpid()
     results = interleave(lambda i: (i, os.getpid()), count)
     assert [i for i, _ in results] == list(range(count))
@@ -146,7 +171,9 @@ def test_the_odd_indices_are_solved_in_one_child(count):
 
 
 @pytest.mark.parametrize("failing", [{3, 6}, {2, 5}, {4}, {7}, {0, 1}])
-def test_the_lowest_failing_index_is_raised(failing):
+def test_the_lowest_failing_index_is_raised(monkeypatch, failing):
+    set_cpus(monkeypatch, 2)
+
     def solve(i):
         if i in failing:
             raise LookupError(i)
@@ -162,11 +189,14 @@ def test_a_failed_fork_solves_every_index_here(monkeypatch):
     def fork():
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
+    set_cpus(monkeypatch, 2)
     monkeypatch.setattr(os, "fork", fork)
     assert interleave(lambda i: (i, os.getpid()), 4) == [(i, os.getpid()) for i in range(4)]
 
 
-def test_a_child_ended_by_a_signal_is_an_error():
+def test_a_child_ended_by_a_signal_is_an_error(monkeypatch):
+    set_cpus(monkeypatch, 2)
+
     def solve(i):
         if i == 3:
             os.kill(os.getpid(), signal.SIGKILL)
@@ -181,7 +211,8 @@ class Interrupted(BaseException):
     pass
 
 
-def test_an_interrupt_in_the_parent_kills_the_child():
+def test_an_interrupt_in_the_parent_kills_the_child(monkeypatch):
+    set_cpus(monkeypatch, 2)
     parent = os.getpid()
 
     def solve(i):

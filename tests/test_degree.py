@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vaxgame import DegreeDistribution, explicit, power_law
+from vaxgame.degree import MIN_MASS
 
 from conftest import random_distribution
 
@@ -59,6 +60,28 @@ class TestPowerLaw:
         # such entries are rejected rather than silently dropped
         with pytest.raises(ValueError):
             power_law(1, 50, 20.0)
+
+    def test_rejects_an_oversized_range_before_allocating_it(self):
+        # 10^15 degrees would take PiB of arrays; the bound on the last mass refuses it first
+        with pytest.raises(ValueError, match=f"every mass entry must be at least {MIN_MASS}"):
+            power_law(1, 10**15, 3.0)
+
+    @pytest.mark.parametrize(
+        "beta, d_min, largest",
+        [
+            (2.5, 1, 889_130),
+            (2.5, 2, 1_536_916),
+            (3.0, 1, 94_049),
+            (3.0, 2, 170_415),
+            (3.5, 1, 18_659),
+            (3.5, 2, 34_836),
+        ],
+    )
+    def test_the_largest_accepted_range_is_unchanged(self, beta, d_min, largest):
+        # the early bound is loose, so the mass check itself still draws the line
+        assert power_law(d_min, largest, beta).mass[-1] >= MIN_MASS
+        with pytest.raises(ValueError, match=f"every mass entry must be at least {MIN_MASS}"):
+            power_law(d_min, largest + 1, beta)
 
 
 class TestNeighborProb:

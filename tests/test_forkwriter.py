@@ -1,4 +1,8 @@
-"""The forked trajectory writer: the in-process sink's bytes, and no child left behind."""
+"""The forked trajectory writer: the in-process sink's bytes, and no child left behind.
+
+The tests that expect a fork make ``os.sched_getaffinity`` report two
+CPUs, so the writer forks on any host with ``os.fork``.
+"""
 
 import errno
 import json
@@ -9,11 +13,11 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import WriteOnly, assert_no_child, count_forks
+from conftest import WriteOnly, assert_no_child, count_forks, set_cpus
 
 from vaxgame.cli import _TableSink, cmd_dynamics, load_scenario, main
 from vaxgame.dbmf import BLOCK_ROWS
-from vaxgame.forkwriter import ForkedWriter
+from vaxgame.forking import ForkedWriter
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 
@@ -61,6 +65,7 @@ def in_process(scenario, fmt):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("rows", [1, 63, 64, 65, 129, 6001])
 def test_forked_and_in_process_sinks_write_the_same_bytes(tmp_path, monkeypatch, fmt, rows):
+    set_cpus(monkeypatch, 2)
     forks = count_forks(monkeypatch)
     data = table(rows)
     out = tmp_path / f"table.{fmt}"
@@ -82,6 +87,7 @@ def test_a_failed_fork_formats_here(tmp_path, monkeypatch, fmt):
     def fork():
         raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
+    set_cpus(monkeypatch, 2)
     monkeypatch.setattr(os, "fork", fork)
     data = table(129)
     out = tmp_path / f"table.{fmt}"
@@ -94,14 +100,17 @@ def test_a_failed_fork_formats_here(tmp_path, monkeypatch, fmt):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sampled_trajectory_is_the_same_forked_or_not(tmp_path, monkeypatch, fmt):
-    # 601 steps, the start, every 7th step and the last: 87 rows, two blocks
+    # 601 steps, the start, every 7th step and the last: 87 rows, two blocks;
+    # on one CPU the writer does not fork and the trajectory is formatted here
     scenario = dynamics_scenario(tmp_path, 10, t_end=3.005, dt=0.005, sample_stride=7)
     forks = count_forks(monkeypatch)
     out = tmp_path / f"dyn.{fmt}"
-    assert main(["solve", "dynamics", "--scenario", scenario, "--out", str(out), "--format", fmt]) == 0
-    assert forks() == 1
-    assert_no_child()
-    assert out.read_bytes() == in_process(scenario, fmt)
+    for cpus, forked in [(2, 1), (1, 1)]:  # forks counted so far
+        set_cpus(monkeypatch, cpus)
+        assert main(["solve", "dynamics", "--scenario", scenario, "--out", str(out), "--format", fmt]) == 0
+        assert forks() == forked
+        assert_no_child()
+        assert out.read_bytes() == in_process(scenario, fmt)
 
 
 class Probe:
@@ -139,6 +148,7 @@ class Interrupted(Exception):
 def test_frames_survive_a_1ms_sigalrm(tmp_path, monkeypatch):
     # 6,001 rows x 101 floats: each 64-row frame is 52 KB, near a pipe's 64 KB
     scenario = dynamics_scenario(tmp_path, 100, t_end=30.0, state={"threshold": 20})
+    set_cpus(monkeypatch, 2)
     forks = count_forks(monkeypatch)
     out = tmp_path / "dyn.csv"
     with Probe() as probe:
@@ -152,6 +162,7 @@ def test_frames_survive_a_1ms_sigalrm(tmp_path, monkeypatch):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_signal_that_raises_leaves_no_writer_and_no_artifact(tmp_path, monkeypatch, capsys, fmt):
     scenario = dynamics_scenario(tmp_path, 100, t_end=30.0, state={"threshold": 20})
+    set_cpus(monkeypatch, 2)
     forks = count_forks(monkeypatch)
     directory = tmp_path / "out"
     directory.mkdir()
@@ -167,8 +178,10 @@ def test_a_signal_that_raises_leaves_no_writer_and_no_artifact(tmp_path, monkeyp
     assert [p.name for p in directory.iterdir()] == [out.name]
 
 
-def test_the_fork_does_not_warn_of_threads(tmp_path):
+def test_the_fork_does_not_warn_of_threads(tmp_path, monkeypatch):
     # from Python 3.12 a fork in a multi-threaded process warns; this one is meant
+    set_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
     done = threading.Event()
     thread = threading.Thread(target=done.wait)
     thread.start()
@@ -181,4 +194,5 @@ def test_the_fork_does_not_warn_of_threads(tmp_path):
     finally:
         done.set()
         thread.join()
+    assert forks() == 1
     assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]

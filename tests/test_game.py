@@ -28,6 +28,7 @@ from vaxgame import (
     weight_inverse,
 )
 from vaxgame.cli import cmd_pne, load_scenario
+from vaxgame.dbmf import ROOT_TOL
 from vaxgame.game import CERT_TOL
 from vaxgame.degree import DegreeDistribution
 
@@ -42,6 +43,18 @@ from conftest import (
 )
 
 PRELEC_05_AT_05 = 0.4349367715757099  # exp(-(ln 2)^0.5), 40-digit reference
+EPS = np.finfo(float).eps / 2  # the unit roundoff u
+
+
+@st.composite
+def distributions(draw):
+    """An explicit degree set of 1 to 12 degrees in 1..60, or a power law of up to 151 degrees."""
+    if draw(st.booleans()):
+        degrees = draw(st.lists(st.integers(1, 60), min_size=1, max_size=12, unique=True))
+        mass = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(degrees), max_size=len(degrees))))
+        return DegreeDistribution(sorted(degrees), mass / mass.sum())
+    d_min = draw(st.integers(1, 4))
+    return power_law(d_min, d_min + draw(st.integers(0, 150)), draw(st.floats(2.05, 3.5)))
 
 
 class CountingLadder(ThresholdLadder):
@@ -374,6 +387,32 @@ class TestSolvePne:
         assert np.all(v[:first] == 0.0)
         tops = dist.degrees[1:] * v
         assert np.all(np.diff(tops[first:]) >= 0.0)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(dist=distributions(), delta_ratio=st.floats(0.01, 0.9999, exclude_min=True, exclude_max=True))
+    def test_a_rung_comparison_is_a_sign_test(self, dist, delta_ratio):
+        # g_j(w) = sum_{i<=j} (d_i^2 m_i/<d>)/(delta + d_i w) - 1 falls strictly
+        # in w and the rung v_j is its root, so g_j(w) >= 0 exactly when
+        # v_j >= w, wherever |g_j(w)| clears ROOT_TOL, the root's own
+        # tolerance, and the rounding of both evaluations of g_j
+        params = EpidemicParams(delta_ratio * dist.second_moment / dist.mean_degree, dist)
+        ladder = ThresholdLadder(params)
+        d, coeff = dist.float_degrees, dist.mass * (dist.float_degrees**2) / dist.mean_degree
+        decided = 0
+        for j in range(dist.size):
+            v_j = ladder.v_at(j)
+            if v_j == 0.0:
+                continue
+            gamma = (j + 7) * EPS / (1 - (j + 7) * EPS)  # n = j + 1 terms, six roundings each
+            for k in range(1, 11):
+                for w in (v_j * (1 - 10.0**-k), v_j * (1 + 10.0**-k)):
+                    terms = coeff[: j + 1] / (params.delta + d[: j + 1] * w)
+                    g = float(np.sum(terms)) - 1.0
+                    if abs(g) > ROOT_TOL + 2 * gamma * float(np.sum(terms)):
+                        assert (g >= 0.0) == (v_j >= w), (j, k, w, g)
+                        decided += 1
+        # the last rung, everyone unprotected, is supercritical for delta below <d^2>/<d>
+        assert decided > 0
 
     def test_walk_catches_a_non_monotone_ladder(self):
         # halving v on odd rungs drops their lower edge t*v_t/2 below the
