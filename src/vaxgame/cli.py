@@ -33,7 +33,7 @@ from .degree import DegreeDistribution
 # these names, so they stay though this module no longer calls social_cost
 from .game import CandidateState, GameSpec, ThresholdLadder, solve_pne, verify_pne
 from .planner import SocialOptimumSolver, social_cost  # noqa: F401
-from .weighting import WeightingSpec
+from .weighting import WeightingSpec, prelec
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario", "main"]
 
@@ -272,6 +272,10 @@ def cmd_bounds(scenario: Scenario) -> tuple[list, list]:
         alpha = prelecs[0].alpha
     elif not _is_number(alpha):
         raise ScenarioError("'bounds.alpha' must be a number")
+    try:
+        alpha = prelec(alpha).alpha
+    except (ValueError, OverflowError) as exc:  # an int too large for a float overflows
+        raise ScenarioError(f"invalid 'bounds.alpha': {exc}") from None
     ctx = PowerLawBoundContext.create(scenario.distribution, scenario.delta)
     ladder = ThresholdLadder(ctx.params)
     header = [
@@ -288,7 +292,7 @@ def cmd_bounds(scenario: Scenario) -> tuple[list, list]:
     ]
 
     def solve_cost(i: int) -> list:
-        (p,) = ratio_sandwich(ctx, float(alpha), scenario.costs[i : i + 1], ladder=ladder).points
+        (p,) = ratio_sandwich(ctx, alpha, scenario.costs[i : i + 1], ladder=ladder).points
         return [
             p.cost,
             p.d_true,
@@ -316,11 +320,9 @@ def cmd_dynamics(scenario: Scenario, out, fmt: str):
     run and ``out`` has a file descriptor, such as the ``--out`` file, the
     blocks are formatted in a forked writer process
     (:class:`vaxgame.forking.ForkedWriter`) while this one steps on; the
-    integrator, its range check and its table cap stay here.  The fork is
-    safe though numpy's OpenBLAS workers make this process
-    multi-threaded: the child calls no BLAS, takes no lock those threads
-    hold and never returns into the caller.  The writer is reaped before
-    this returns or raises.  Otherwise, as for an ``out`` with no
+    integrator, its range check and its table cap stay here.  The writer
+    is reaped before this returns or raises, and the closing is written
+    here after it, on success only.  Otherwise, as for an ``out`` with no
     descriptor such as :class:`io.StringIO`, the same sink formats here;
     the bytes are the same either way.
     """
@@ -398,9 +400,6 @@ class _Artifact:
             self._open()
         self._fh.write(text)
 
-    def flush(self):
-        self._fh.flush()
-
     def fileno(self) -> int:
         """The descriptor of the file being written, opened on first use."""
         if self._fh is None:
@@ -463,11 +462,10 @@ class _TableSink:
     ``json.dump(records, indent=2)``.  The rows are finite, since the
     integrator raises on a NaN or an infinity.  The CSV header, or the
     JSON opening bracket, goes out with the first block, so a run refused
-    before it writes nothing; :meth:`close`, or leaving the ``with`` block
-    cleanly, ends the artifact.  Behind a forked writer the child's copy
-    of the sink formats every block, the opening and the closing: the
-    child calls no BLAS, takes no lock numpy's OpenBLAS worker threads
-    hold, and never returns into the caller.
+    before it writes nothing; :meth:`close` ends the artifact.  Behind a
+    forked writer the child's copy of the sink formats every block, the
+    opening with the first, and this process's copy writes the closing
+    once the writer is reaped.
     """
 
     def __init__(self, out, fmt: str, header: list):
@@ -498,13 +496,6 @@ class _TableSink:
 
     def close(self):
         self.out.write(self.closing)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is None:
-            self.close()
 
 
 def _write_csv(out, header: list, rows: list):

@@ -13,11 +13,12 @@ fails, the same work runs in this process, with the same results.
 The child leaves only through :func:`os._exit`, so it never runs the
 caller's code, finalizers or exit handlers.  An exception it ends with is
 pickled back on an error pipe, and the parent raises it as its own.  The
-parent reaps the child in :meth:`ForkedChild.finish`; if a signal
-handler's exception interrupts that wait, the child is killed and reaped
-before the exception goes on.  Every raw write and read loops until all
-of its bytes are through, since a signal handled during a pipe write,
-such as a profiler's SIGALRM, can cut the write short.
+parent reads that pipe to its end and then reaps the child in
+:meth:`ForkedChild.finish`; if a signal handler's exception interrupts
+either, the child is killed and reaped before the exception goes on.
+Every raw write loops until all of its bytes are through, since a signal
+handled during a pipe write, such as a profiler's SIGALRM, can cut the
+write short.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import itertools
 import os
 import pickle
 import signal
-import struct
 import warnings
 
 import numpy as np
@@ -36,10 +36,6 @@ __all__ = ["ForkedChild", "ForkedWriter", "interleave"]
 
 # the exit code of a child whose function raised
 _FAILED = 1
-# the writer's exit code at end of file before the end frame
-_ABORTED = 2
-# a trajectory frame's byte length; 0 is the end frame, since every block has a row
-_LENGTH = struct.Struct("<q")
 
 
 def _second_process() -> bool:
@@ -128,27 +124,28 @@ class ForkedChild:
         """Reap the child, killing it first if ``kill``; returns its error, None if it exited 0.
 
         The error is the exception the child sent back, or a
-        :class:`RuntimeError` naming the signal or exit status.
+        :class:`RuntimeError` naming the signal or exit status.  The error
+        pipe is read to its end before the wait, so a child blocked on
+        an exception larger than the pipe holds can finish writing it.
         """
         pid = self.pid.pop()
         try:
-            if kill:
-                os.kill(pid, signal.SIGKILL)
+            with open(self.errors, "rb") as fh:
+                if kill:
+                    os.kill(pid, signal.SIGKILL)
+                data = fh.read()
             _, status = os.waitpid(pid, 0)
         except BaseException:  # a signal handler's exception: the child must not outlive this call
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            os.close(self.errors)
             raise
         code = os.waitstatus_to_exitcode(status)
-        with open(self.errors, "rb") as fh:
-            data = fh.read()
         if code == 0:
             return None
+        if code < 0:  # what it sent may be cut short
+            return RuntimeError(f"{self.name} ended by signal {-code}")
         if data:
             return pickle.loads(data)
-        if code < 0:
-            return RuntimeError(f"{self.name} ended by signal {-code}")
         return RuntimeError(f"{self.name} exited with status {code}")
 
 
@@ -225,34 +222,19 @@ def _solve_until_failure(solve, indices) -> tuple:
 
 
 def _solve_odd(solve, count: int, fd: int) -> int:
-    """The child's half: send the odd-index results up to its first failure, then raise that."""
+    """The child's half: send the odd-index results up to its first failure, then raise that.
+
+    ``fd`` is closed once the results are through, so the parent's read
+    of them ends before the child sends back an exception of any size.
+    """
     done, failure = _solve_until_failure(solve, range(1, count, 2))
-    _write_all(fd, pickle.dumps(done))
+    try:
+        _write_all(fd, pickle.dumps(done))
+    finally:
+        os.close(fd)
     if failure is not None:
         raise failure
     return 0
-
-
-class _Text(list):
-    """An ``out`` that collects the sink's text for one raw write."""
-
-    write = list.append
-
-    def drain(self) -> bytes:
-        data = "".join(self).encode("utf-8")
-        self.clear()
-        return data
-
-
-def _read_into(fd: int, buffer: bytearray) -> bool:
-    """Fill ``buffer`` from ``fd``; False if end of file comes first."""
-    view = memoryview(buffer)
-    while view:
-        got = os.readv(fd, [view])
-        if got == 0:
-            return False
-        view = view[got:]
-    return True
 
 
 class ForkedWriter:
@@ -262,18 +244,18 @@ class ForkedWriter:
     JSON bracket) with its first block and its closing at ``close()``.  The
     first block decides: where a second process may run, ``sink.out`` has a
     ``fileno`` that does not raise :class:`io.UnsupportedOperation` (as
-    :class:`io.StringIO`'s does) and the fork succeeds, each block goes down
-    a pipe as one frame, its byte length as a little-endian int64, then the
-    raw float64 rows.  The child formats the frames with its copy of
+    :class:`io.StringIO`'s does) and the fork succeeds, each block's raw
+    float64 rows go down a pipe.  The child formats them with its copy of
     ``sink`` into ``out``'s descriptor, past any text ``out`` buffers,
-    while the parent integrates on.  A frame of length 0 ends the table:
-    the child writes the closing and exits 0; at end of file without it it
-    exits with no closing.  Otherwise ``sink`` formats here, the same bytes.
+    while the parent integrates on, and exits 0 at end of file.
+    Otherwise ``sink`` formats here, the same bytes.
 
-    A failed child sends its exception back; the parent raises it in place
-    of the ``BrokenPipeError`` its next frame meets, or on leaving the
-    ``with`` block cleanly.  Leaving it on an exception aborts the table.
-    Either way no child is left.
+    Leaving the ``with`` block closes the pipe and reaps the writer.  A
+    failed writer sends its exception back; the parent raises it in place
+    of the ``BrokenPipeError`` its next block meets, or on leaving the
+    ``with`` block cleanly.  Only a clean exit writes the closing, here,
+    after the writer is reaped, so a failed run, or a process that dies
+    mid-stream, leaves a table without it.  Either way no child is left.
     """
 
     def __init__(self, sink):
@@ -283,11 +265,11 @@ class ForkedWriter:
 
     def __call__(self, block: np.ndarray):
         if self.send is None:
-            self.send = self._start(block.shape[1])
+            self.send = self._start(block.shape)
         self.send(block)
 
-    def _start(self, width: int):
-        """Fork the writer for rows of ``width`` floats; returns the per-block call."""
+    def _start(self, shape: tuple):
+        """Fork the writer, its buffer shaped like the first block; returns the per-block call."""
         fileno = getattr(self.sink.out, "fileno", None)
         if fileno is None or not _second_process():
             return self.sink
@@ -295,64 +277,46 @@ class ForkedWriter:
             fd = fileno()
         except io.UnsupportedOperation:
             return self.sink
-        frames_r, self.frames = os.pipe()
+        rows_r, self.rows = os.pipe()
         try:
-            forked = self.child.start(lambda: _serve(self.sink, width, frames_r, fd), self.frames)
+            forked = self.child.start(lambda: _serve(self.sink, shape, rows_r, fd), self.rows)
         finally:
-            os.close(frames_r)
+            os.close(rows_r)
         if not forked:  # no process to spare: format here
-            os.close(self.frames)
+            os.close(self.rows)
             return self.sink
         return self._send
 
     def _send(self, block: np.ndarray):
         try:
-            _write_all(self.frames, _LENGTH.pack(block.nbytes))
-            _write_all(self.frames, block)
+            _write_all(self.rows, block)
         except BrokenPipeError:
             raise self._finish() from None
 
     def _finish(self):
-        """Close the frame pipe and reap the writer; returns its error, None if it committed."""
-        os.close(self.frames)
+        """Close the row pipe and reap the writer; returns its error, None if it exited 0."""
+        os.close(self.rows)
         return self.child.finish()
 
     def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if not self.child.pid:
-            # formatted here, or the writer was reaped and its error raised
-            if exc_type is None:
-                self.sink.close()
-            return False
-        if exc_type is not None:
-            self._finish()
-            return False
-        try:
-            _write_all(self.frames, _LENGTH.pack(0))
-        except BrokenPipeError:
-            pass  # the writer has failed; its error is read below
-        error = self._finish()
-        if error is not None:
-            raise error
+        if self.child.pid:
+            error = self._finish()
+            if exc_type is None and error is not None:
+                raise error
+        if exc_type is None:
+            self.sink.close()
         return False
 
 
-def _serve(sink, width: int, frames: int, fd: int) -> int:
-    """The writer's loop: format each frame into ``fd`` until the end frame; returns the exit code."""
-    text = _Text()
-    sink.out = text
-    length = bytearray(_LENGTH.size)
-    while _read_into(frames, length):
-        (size,) = _LENGTH.unpack(length)
-        if size == 0:
-            sink.close()
-            _write_all(fd, text.drain())
-            return 0
-        rows = bytearray(size)
-        if not _read_into(frames, rows):
-            break
-        sink(np.frombuffer(rows).reshape(-1, width))
-        _write_all(fd, text.drain())
-    return _ABORTED
+def _serve(sink, shape: tuple, rows_r: int, fd: int) -> int:
+    """The writer's loop: format the raw rows on ``rows_r`` into ``fd`` until end of file."""
+    block = np.empty(shape)
+    sink.out = open(fd, "w", encoding="utf-8", newline="\n", closefd=False)
+    with open(rows_r, "rb") as rows:
+        while size := rows.readinto(block):
+            sink(block[: size // block[0].nbytes])
+    sink.out.flush()
+    return 0

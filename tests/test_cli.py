@@ -625,14 +625,20 @@ class TestErrorExit:
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ScenarioError"
 
-    def test_mistyped_bounds_alpha_exits_2(self, tmp_path, capsys):
-        obj = k4_scenario(cost=0.8)
+    def test_mistyped_bounds_alpha_exits_2(self, tmp_path, monkeypatch, capsys):
+        obj = k4_scenario(cost={"start": 0.2, "stop": 0.8, "steps": 4})
         obj["distribution"] = {"type": "powerlaw", "d_min": 2, "d_max": 50, "beta": 3.0}
-        obj["bounds"] = {"alpha": "0.5"}  # ran with alpha 0.5 before
         out = tmp_path / "o.csv"
-        assert main(["solve", "bounds", "--scenario", write_scenario(tmp_path, obj), "--out", str(out)]) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ScenarioError" and "bounds.alpha" in err["message"]
+        set_cpus(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        # "0.5" ran with alpha 0.5 before; the numbers outside (0, 1] exited
+        # as a ValueError, raised in each process of the cost split
+        for alpha in ["0.5", 0, -0.5, 1.5, 2, 10**400]:
+            obj["bounds"] = {"alpha": alpha}
+            assert main(["solve", "bounds", "--scenario", write_scenario(tmp_path, obj), "--out", str(out)]) == 2
+            assert forks() == 0 and not out.exists()
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "ScenarioError" and "bounds.alpha" in err["message"], alpha
 
     @pytest.mark.parametrize(
         "section, value, key",

@@ -15,6 +15,7 @@ import signal
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -211,6 +212,59 @@ class Interrupted(BaseException):
     pass
 
 
+@contextmanager
+def deadline(seconds):
+    """Raise :class:`TimeoutError` in this process if the block runs past ``seconds``."""
+
+    def expire(*_signal_args):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="no setitimer")
+def test_a_child_error_larger_than_a_pipe_comes_back_whole(monkeypatch):
+    # 1 MB does not fit in a pipe: the child can send it only while the
+    # parent reads, and the parent reads it only after the results' end of file
+    set_cpus(monkeypatch, 2)
+    payload = os.urandom(1 << 20)
+
+    def solve(i):
+        if i == 1:
+            raise LookupError(payload)
+        return i
+
+    with deadline(20), pytest.raises(LookupError) as info:
+        interleave(solve, 4)
+    assert info.value.args == (payload,)
+    assert_no_child()
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="no setitimer")
+def test_a_large_convergence_error_exits_as_on_one_cpu(tmp_path, monkeypatch, capsys):
+    # d_max = 20,000: the error pickles its best state, 20,000 floats of it,
+    # more than a pipe holds; the cost split hung on two CPUs before
+    scenario = tmp_path / "scenario.json"
+    obj = {
+        "distribution": {"type": "powerlaw", "d_min": 1, "d_max": 20000, "beta": 3},
+        "delta": 1e-70,
+        "cost": {"start": 0.1, "stop": 0.9, "steps": 4},
+    }
+    scenario.write_text(json.dumps(obj), encoding="utf-8")
+    with deadline(60):
+        forked, here, split = forked_and_here(capsys, monkeypatch, tmp_path, "pne", scenario)
+    assert split == 1 and forked == here
+    rc, err, data = forked
+    assert rc == 2 and data is None
+    assert json.loads(err)["error"] == "ConvergenceError"
+
+
 def test_an_interrupt_in_the_parent_kills_the_child(monkeypatch):
     set_cpus(monkeypatch, 2)
     parent = os.getpid()
@@ -224,6 +278,22 @@ def test_an_interrupt_in_the_parent_kills_the_child(monkeypatch):
     with pytest.raises(Interrupted):
         interleave(solve, 4)
     assert time.perf_counter() - start < 10
+    assert_no_child()
+
+
+def test_an_interrupt_while_the_child_sends_a_large_error_is_raised(monkeypatch):
+    # the child is killed part way through a 1 MB exception, which must not be unpickled
+    set_cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def solve(i):
+        if os.getpid() == parent:
+            time.sleep(0.5)
+            raise Interrupted
+        raise LookupError(os.urandom(1 << 20))
+
+    with pytest.raises(Interrupted):
+        interleave(solve, 4)
     assert_no_child()
 
 

@@ -8,8 +8,12 @@ import errno
 import json
 import os
 import signal
+import subprocess
+import sys
 import threading
 import warnings
+from contextlib import closing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,8 @@ from vaxgame.dbmf import BLOCK_ROWS
 from vaxgame.forking import ForkedWriter
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def table(rows):
@@ -36,9 +42,13 @@ def header(data):
 
 
 def stream(sink, data):
-    """Pass ``data`` to ``sink`` as the integrator does: 64-row blocks of one reused buffer."""
+    """Pass ``data`` to ``sink`` as the integrator does: 64-row blocks of one reused buffer.
+
+    A :class:`ForkedWriter` writes the closing on leaving its ``with``
+    block, as ``cmd_dynamics`` uses it; a bare ``_TableSink`` is closed here.
+    """
     buffer = np.empty((BLOCK_ROWS, data.shape[1]))
-    with sink:
+    with sink if isinstance(sink, ForkedWriter) else closing(sink):
         for start in range(0, len(data), BLOCK_ROWS):
             rows = len(data[start : start + BLOCK_ROWS])
             buffer[:rows] = data[start : start + rows]
@@ -196,3 +206,49 @@ def test_the_fork_does_not_warn_of_threads(tmp_path, monkeypatch):
         thread.join()
     assert forks() == 1
     assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
+
+
+DIES_MID_STREAM = """
+import os, sys
+import numpy as np
+from vaxgame.cli import _TableSink
+from vaxgame.forking import ForkedWriter
+
+os.sched_getaffinity = lambda _pid: {0, 1}
+fork, forks = os.fork, []
+
+def counted():
+    forks.append(1)
+    return fork()
+
+os.fork = counted
+data = np.linspace(0.0, 1.0, 3 * 64 * 2).reshape(-1, 2)
+with open(sys.argv[1], "w", encoding="utf-8", newline="\\n") as fh:
+    with ForkedWriter(_TableSink(fh, "json", ["t", "p_1"])) as writer:
+        for start in range(0, len(data), 64):
+            writer(data[start : start + 64])
+        print(len(forks), flush=True)
+        os._exit(3)
+"""
+
+
+def test_a_process_that_dies_mid_stream_leaves_no_closing(tmp_path):
+    # the writer inherits the script's stdout, so the captured output ends
+    # only once the writer has formatted the three blocks and exited too
+    out = tmp_path / "table.json"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", DIES_MID_STREAM, str(out)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 3 and result.stdout.split() == ["1"], result.stderr
+    data = np.linspace(0.0, 1.0, 3 * 64 * 2).reshape(-1, 2)
+    here = WriteOnly()
+    sink = _TableSink(here, "json", ["t", "p_1"])
+    for start in range(0, len(data), 64):
+        sink(data[start : start + 64])
+    assert out.read_bytes() == here.text().encode("utf-8")
+    assert out.read_bytes().endswith(b"  }")
