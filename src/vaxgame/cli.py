@@ -340,6 +340,9 @@ def cmd_dynamics(scenario: Scenario, out, fmt: str):
             fraction is None or _is_number(fraction)
         ):
             raise ScenarioError("dynamics 'state' needs an integer 'threshold' and a number 'fraction'")
+        if threshold is None and fraction is not None:
+            # no threshold names everyone vaccinated, where a fraction means nothing
+            raise ScenarioError("dynamics 'state' has a 'fraction' but no 'threshold'")
         try:
             state = CandidateState(dist, threshold, fraction)
         except (KeyError, ValueError) as exc:

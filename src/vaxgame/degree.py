@@ -116,18 +116,21 @@ class DegreeDistribution:
     @staticmethod
     def from_json(obj: dict) -> "DegreeDistribution":
         kind = obj.get("type")
+        keys = {"powerlaw": {"type", "d_min", "d_max", "beta"}, "explicit": {"type", "mass"}}
+        if not (isinstance(kind, str) and kind in keys):
+            raise ValueError(f"unknown distribution type {kind!r}")
+        if unknown := set(obj) - keys[kind]:
+            raise ValueError(f"unknown {kind} keys: {sorted(unknown)}")
         # type(), not isinstance: JSON true is a bool, which is an int
         if kind == "powerlaw":
             d_min, d_max, beta = obj["d_min"], obj["d_max"], obj["beta"]
             if type(d_min) is not int or type(d_max) is not int or type(beta) not in (int, float):
                 raise TypeError("powerlaw needs integers 'd_min', 'd_max' and a number 'beta'")
             return power_law(d_min, d_max, float(beta))
-        if kind == "explicit":
-            mass = obj["mass"]
-            if not isinstance(mass, dict) or any(type(m) not in (int, float) for m in mass.values()):
-                raise TypeError("explicit 'mass' must map degrees to numbers")
-            return explicit(mass)
-        raise ValueError(f"unknown distribution type {kind!r}")
+        mass = obj["mass"]
+        if not isinstance(mass, dict) or any(type(m) not in (int, float) for m in mass.values()):
+            raise TypeError("explicit 'mass' must map degrees to numbers")
+        return explicit(mass)
 
     def __repr__(self):
         if self.normalization is not None:

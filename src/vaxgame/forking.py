@@ -11,14 +11,14 @@ and from ``os.cpu_count()`` otherwise.  Without that, or when the fork
 fails, the same work runs in this process, with the same results.
 
 The child leaves only through :func:`os._exit`, so it never runs the
-caller's code, finalizers or exit handlers.  An exception it ends with is
-pickled back on an error pipe, and the parent raises it as its own.  The
-parent reads that pipe to its end and then reaps the child in
-:meth:`ForkedChild.finish`; if a signal handler's exception interrupts
-either, the child is killed and reaped before the exception goes on.
-Every raw write loops until all of its bytes are through, since a signal
-handled during a pipe write, such as a profiler's SIGALRM, can cut the
-write short.
+caller's code, finalizers or exit handlers.  Each child has one pipe
+back to the parent, which carries, pickled, what the child's function
+returned or the exception it raised.  The parent reads that pipe to its
+end and then reaps the child in :meth:`ForkedChild.finish`; if a signal
+handler's exception interrupts either, the child is killed and reaped
+before the exception goes on.  Every raw write loops until all of its
+bytes are through, since a signal handled during a pipe write, such as
+a profiler's SIGALRM, can cut the write short.
 """
 
 from __future__ import annotations
@@ -58,27 +58,26 @@ class ForkedChild:
     """One forked child process, from :meth:`start` until :meth:`finish` reaps it.
 
     ``name`` says what the child does, in the error raised for a child
-    that ends by a signal or exits without sending an exception back.
-    The handle is made before the fork, so a caller that holds it can
-    always reap the child, whatever exception reaches it after the fork.
+    that ends by a signal or exits without sending anything back.  The
+    handle is made before the fork, so a caller that holds it can always
+    reap the child, whatever exception reaches it after the fork.
     """
 
     def __init__(self, name: str):
         self.name = name
         self.pid = []  # the child's pid, until it is reaped
-        self.errors = None  # the read end of the error pipe
+        self.pipe = None  # the read end of the pipe that carries the child's value or exception
 
     def start(self, work, *inherited: int) -> bool:
         """Fork a child that closes ``inherited`` and runs ``work()``; only the parent returns.
 
-        ``work`` returns the child's exit code.  If it raises, the child
-        pickles the exception back and exits 1.  ``inherited`` are
-        descriptors the child must not hold, such as the parent's end of
-        a pipe whose end of file the child waits for.  Returns False, with
-        no child and no descriptor of its own left open, when the fork
-        fails.
+        The child pickles back what ``work`` returns and exits 0, or the
+        exception it raises and exits 1.  ``inherited`` are descriptors
+        the child must not hold, such as the parent's end of a pipe whose
+        end of file the child waits for.  Returns False, with no child
+        and no descriptor of its own left open, when the fork fails.
         """
-        self.errors, errors_w = os.pipe()
+        self.pipe, pipe_w = os.pipe()
         # The child inherits the blocked mask, so none of the caller's signal
         # handlers runs in it; it ends when ``work`` returns or raises, or at
         # SIGKILL.  The pid is kept by list.extend, in C, so a handler's
@@ -104,33 +103,35 @@ class ForkedChild:
                     )
                     self.pid.extend(itertools.starmap(os.fork, [()]))
             except OSError:  # no process to spare
-                os.close(self.errors)
+                os.close(self.pipe)
                 return False
             if self.pid == [0]:
                 code = _FAILED
                 try:
-                    os.close(self.errors)
+                    os.close(self.pipe)
                     for fd in inherited:
                         os.close(fd)
-                    code = _run(work, errors_w)
+                    code = _run(work, pipe_w)
                 finally:
                     os._exit(code)
         finally:
-            os.close(errors_w)
+            os.close(pipe_w)
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         return True
 
-    def finish(self, kill: bool = False):
-        """Reap the child, killing it first if ``kill``; returns its error, None if it exited 0.
+    def finish(self, kill: bool = False) -> tuple:
+        """Reap the child; returns its value and its exception, one of them None.
 
-        The error is the exception the child sent back, or a
-        :class:`RuntimeError` naming the signal or exit status.  The error
-        pipe is read to its end before the wait, so a child blocked on
-        an exception larger than the pipe holds can finish writing it.
+        The pipe is read to its end before the wait, so a child blocked
+        on a value or an exception larger than the pipe holds can finish
+        writing it.  A child ended by a signal, or one that exits without
+        sending anything back, raises a :class:`RuntimeError` naming it.
+        With ``kill`` the child is killed first and nothing is returned
+        or raised: its outcome is not wanted.
         """
         pid = self.pid.pop()
         try:
-            with open(self.errors, "rb") as fh:
+            with open(self.pipe, "rb") as fh:
                 if kill:
                     os.kill(pid, signal.SIGKILL)
                 data = fh.read()
@@ -140,26 +141,28 @@ class ForkedChild:
             os.waitpid(pid, 0)
             raise
         code = os.waitstatus_to_exitcode(status)
-        if code == 0:
-            return None
+        if kill:
+            return None, None
         if code < 0:  # what it sent may be cut short
-            return RuntimeError(f"{self.name} ended by signal {-code}")
-        if data:
-            return pickle.loads(data)
-        return RuntimeError(f"{self.name} exited with status {code}")
+            raise RuntimeError(f"{self.name} ended by signal {-code}")
+        if not data:
+            raise RuntimeError(f"{self.name} exited with status {code}")
+        sent = pickle.loads(data)
+        return (None, sent) if code else (sent, None)
 
 
-def _run(work, errors: int) -> int:
-    """The child's body: ``work()``'s exit code, or 1 once its exception is on ``errors``."""
+def _run(work, pipe: int) -> int:
+    """The child's body: send ``work()``'s value on ``pipe`` and return 0, or its exception and return 1."""
     try:
-        return work()
+        data, code = pickle.dumps(work()), 0
     except Exception as exc:  # noqa: BLE001 - every error goes back to the parent
         try:
-            data = pickle.dumps(exc)
-        except Exception:  # noqa: BLE001 - an exception that does not pickle
+            pickle.loads(data := pickle.dumps(exc))
+        except Exception:  # noqa: BLE001 - an exception that does not pickle, or does not unpickle
             data = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-        _write_all(errors, data)
-        return _FAILED
+        code = _FAILED
+    _write_all(pipe, data)
+    return code
 
 
 def interleave(solve, count: int) -> list:
@@ -169,72 +172,36 @@ def interleave(solve, count: int) -> list:
     costs through this.  With fewer than two indices, where no second
     process may run, or when the fork fails, the loop runs here.  Else
     this process solves the even indices while the child solves the odd
-    ones and sends its results back pickled, so each index's result is
-    the object ``solve`` made, bytes and type alike.  Each side stops at
-    its first failure; the exception raised is that of the lowest failing
-    index, as the serial loop would raise it.  Whatever ``solve`` caches
-    (a ladder of rungs) fills separately on each side.  No child is left
-    when this returns or raises.
+    ones and sends their results back pickled, so each index's result is
+    the object ``solve`` made, bytes and type alike.  Whatever ``solve``
+    caches (a ladder of rungs) fills separately on each side.  If either
+    side raises an :class:`Exception`, the child is killed if it still
+    runs and the loop runs here from index 0, so the error is the
+    one-process run's.  A child ended by a signal, or one that exits
+    without sending anything back, raises a :class:`RuntimeError` naming
+    it, with no second run here.  No child is left when this returns or
+    raises.
     """
     if count < 2 or not _second_process():
         return [solve(i) for i in range(count)]
-    rows_r, rows_w = os.pipe()
     child = ForkedChild("cost solver")
-    with open(rows_r, "rb") as rows:
-        try:
+    try:
+        if child.start(lambda: [solve(i) for i in range(1, count, 2)]):
             try:
-                forked = child.start(lambda: _solve_odd(solve, count, rows_w), rows_r)
-            finally:
-                os.close(rows_w)
-            if not forked:  # no process to spare: solve them all here
-                return [solve(i) for i in range(count)]
-            evens, failure = _solve_until_failure(solve, range(0, count, 2))
-            data = rows.read()
-        except BaseException:
-            if child.pid:
+                evens = [solve(i) for i in range(0, count, 2)]
+            except Exception:  # noqa: BLE001 - the loop below solves every index again
                 child.finish(kill=True)
-            raise
-    error = child.finish()
-    try:
-        odds = pickle.loads(data)
-    except Exception:
-        if error is None:
-            raise
-        odds = []  # the child ended before it sent its results
-    failures = [(2 * len(evens), failure), (2 * len(odds) + 1, error)]
-    failed = [f for f in failures if f[1] is not None]
-    if failed:
-        raise min(failed, key=lambda f: f[0])[1]
-    merged = [None] * count
-    merged[::2], merged[1::2] = evens, odds
-    return merged
-
-
-def _solve_until_failure(solve, indices) -> tuple:
-    """The results of ``solve`` over ``indices`` up to the first failure, and that exception or None."""
-    done = []
-    try:
-        for i in indices:
-            done.append(solve(i))
-    except Exception as exc:  # noqa: BLE001 - reported by index, after the other side's results
-        return done, exc
-    return done, None
-
-
-def _solve_odd(solve, count: int, fd: int) -> int:
-    """The child's half: send the odd-index results up to its first failure, then raise that.
-
-    ``fd`` is closed once the results are through, so the parent's read
-    of them ends before the child sends back an exception of any size.
-    """
-    done, failure = _solve_until_failure(solve, range(1, count, 2))
-    try:
-        _write_all(fd, pickle.dumps(done))
-    finally:
-        os.close(fd)
-    if failure is not None:
-        raise failure
-    return 0
+            else:
+                odds, error = child.finish()
+                if error is None:
+                    merged = [None] * count
+                    merged[::2], merged[1::2] = evens, odds
+                    return merged
+    except BaseException:
+        if child.pid:
+            child.finish(kill=True)
+        raise
+    return [solve(i) for i in range(count)]
 
 
 class ForkedWriter:
@@ -253,9 +220,11 @@ class ForkedWriter:
     Leaving the ``with`` block closes the pipe and reaps the writer.  A
     failed writer sends its exception back; the parent raises it in place
     of the ``BrokenPipeError`` its next block meets, or on leaving the
-    ``with`` block cleanly.  Only a clean exit writes the closing, here,
-    after the writer is reaped, so a failed run, or a process that dies
-    mid-stream, leaves a table without it.  Either way no child is left.
+    ``with`` block cleanly.  A writer ended by a signal raises from
+    :meth:`ForkedChild.finish` at either point.  Only a clean exit writes
+    the closing, here, after the writer is reaped, so a failed run, or a
+    process that dies mid-stream, leaves a table without it.  Either way
+    no child is left.
     """
 
     def __init__(self, sink):
@@ -296,7 +265,7 @@ class ForkedWriter:
     def _finish(self):
         """Close the row pipe and reap the writer; returns its error, None if it exited 0."""
         os.close(self.rows)
-        return self.child.finish()
+        return self.child.finish()[1]
 
     def __enter__(self):
         return self
@@ -311,7 +280,7 @@ class ForkedWriter:
         return False
 
 
-def _serve(sink, shape: tuple, rows_r: int, fd: int) -> int:
+def _serve(sink, shape: tuple, rows_r: int, fd: int):
     """The writer's loop: format the raw rows on ``rows_r`` into ``fd`` until end of file."""
     block = np.empty(shape)
     sink.out = open(fd, "w", encoding="utf-8", newline="\n", closefd=False)
@@ -319,4 +288,3 @@ def _serve(sink, shape: tuple, rows_r: int, fd: int) -> int:
         while size := rows.readinto(block):
             sink(block[: size // block[0].nbytes])
     sink.out.flush()
-    return 0

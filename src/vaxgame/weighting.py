@@ -65,15 +65,18 @@ class WeightingSpec:
     @staticmethod
     def from_json(obj: dict) -> "WeightingSpec":
         kind = obj.get("kind")
+        keys = {"identity": {"kind"}, "prelec": {"kind", "alpha"}}
+        if not (isinstance(kind, str) and kind in keys):
+            raise ValueError(f"unknown weighting kind {kind!r}")
+        if unknown := set(obj) - keys[kind]:
+            raise ValueError(f"unknown {kind} weighting keys: {sorted(unknown)}")
         if kind == "identity":
             return identity()
-        if kind == "prelec":
-            alpha = obj["alpha"]
-            # type(), not isinstance: JSON true is a bool, which is an int
-            if type(alpha) not in (int, float):
-                raise TypeError(f"prelec alpha must be a number, got {alpha!r}")
-            return prelec(alpha)
-        raise ValueError(f"unknown weighting kind {kind!r}")
+        alpha = obj["alpha"]
+        # type(), not isinstance: JSON true is a bool, which is an int
+        if type(alpha) not in (int, float):
+            raise TypeError(f"prelec alpha must be a number, got {alpha!r}")
+        return prelec(alpha)
 
 
 def identity() -> WeightingSpec:

@@ -579,6 +579,9 @@ class TestErrorExit:
             ("state", {"threshold": "4"}),
             ("state", {"threshold": True}),  # ran as threshold 1 before
             ("state", {"threshold": 4, "fraction": "0.5"}),
+            # both ran everyone vaccinated before, the fraction dropped
+            ("state", {"fraction": 0.01}),
+            ("state", {"threshold": None, "fraction": 0.3}),
         ],
         ids=[
             "p0-string",
@@ -591,6 +594,8 @@ class TestErrorExit:
             "threshold-string",
             "threshold-true",
             "fraction-string",
+            "fraction-without-threshold",
+            "fraction-with-null-threshold",
         ],
     )
     def test_mistyped_dynamics_values_exit_2(self, tmp_path, capsys, key, value):
@@ -647,8 +652,12 @@ class TestErrorExit:
             ("dynamics", {"t_nd": 1.0, "dt": 0.5, "sample_stride": 10}, "t_nd"),
             ("dynamics", {"t_end": 1.0, "dt": 0.5, "state": {"threshold": 4, "frac": 0.5}}, "frac"),
             ("bounds", {"alpha": 0.5, "alhpa": 0.7}, "alhpa"),
+            # the three below ran with the key ignored before
+            ("weightings", [{"kind": "identity", "alpha": 0.5}], "alpha"),
+            ("weightings", [{"kind": "prelec", "alpha": 0.5, "beta": 2}], "beta"),
+            ("distribution", {"type": "powerlaw", "d_min": 1, "d_max": 10, "beta": 3.0, "x": 1}, "'x'"),
         ],
-        ids=["dynamics", "dynamics-state", "bounds"],
+        ids=["dynamics", "dynamics-state", "bounds", "identity", "prelec", "distribution"],
     )
     def test_unknown_option_keys_exit_2(self, tmp_path, capsys, section, value, key):
         obj = k4_scenario(cost=0.8)

@@ -231,7 +231,7 @@ def deadline(seconds):
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="no setitimer")
 def test_a_child_error_larger_than_a_pipe_comes_back_whole(monkeypatch):
     # 1 MB does not fit in a pipe: the child can send it only while the
-    # parent reads, and the parent reads it only after the results' end of file
+    # parent reads, and the parent reads it to end of file before the wait
     set_cpus(monkeypatch, 2)
     payload = os.urandom(1 << 20)
 
@@ -263,6 +263,56 @@ def test_a_large_convergence_error_exits_as_on_one_cpu(tmp_path, monkeypatch, ca
     rc, err, data = forked
     assert rc == 2 and data is None
     assert json.loads(err)["error"] == "ConvergenceError"
+
+
+class Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("not to be pickled")
+
+
+class Unrebuildable(Exception):
+    # pickled by its args alone, so unpickling calls it with one argument
+    def __init__(self, message, _detail):
+        super().__init__(message)
+
+
+@pytest.mark.parametrize(
+    "make", [Unpicklable, lambda message: Unrebuildable(message, None)], ids=["unpicklable", "unrebuildable"]
+)
+def test_a_child_exception_that_does_not_pickle_is_the_serial_error(monkeypatch, make):
+    # these came back as RuntimeError("Unpicklable: at 3") and as a
+    # TypeError of the parent's unpickling before
+    set_cpus(monkeypatch, 2)
+
+    def solve(i):
+        if i in (3, 5):
+            raise make(f"at {i}")
+        return i
+
+    expected = make("at 3")
+    with pytest.raises(type(expected)) as info:
+        interleave(solve, 8)
+    assert type(info.value) is type(expected) and info.value.args == expected.args
+    assert_no_child()
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="no setitimer")
+def test_a_failure_here_does_not_wait_for_the_child(monkeypatch):
+    # the parent waited for the child's whole half, 60 s of it, before
+    set_cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def solve(i):
+        if os.getpid() != parent:
+            time.sleep(30)  # only the kill ends this in time
+        if i == 0:
+            raise LookupError(i)
+        return i
+
+    with deadline(10), pytest.raises(LookupError) as info:
+        interleave(solve, 4)
+    assert info.value.args == (0,)
+    assert_no_child()
 
 
 def test_an_interrupt_in_the_parent_kills_the_child(monkeypatch):
