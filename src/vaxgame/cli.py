@@ -68,9 +68,10 @@ def _is_number(value) -> bool:
     return type(value) in (int, float)
 
 
-# Keys each option object accepts; "dynamics.state" is the object under
-# dynamics["state"].
+# Keys each option object, and a cost sweep object, accepts;
+# "dynamics.state" is the object under dynamics["state"].
 OPTION_KEYS = {
+    "cost": {"start", "stop", "steps"},
     "dynamics": {"p0", "t_end", "dt", "sample_stride", "state"},
     "dynamics.state": {"threshold", "fraction"},
     "bounds": {"alpha"},
@@ -117,6 +118,7 @@ def load_scenario(path: str) -> Scenario:
 
     cost = raw.get("cost")
     if isinstance(cost, dict):
+        _reject_unknown_keys("cost", cost)
         try:
             start, stop, steps = cost["start"], cost["stop"], cost["steps"]
         except KeyError as exc:

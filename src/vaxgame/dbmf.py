@@ -209,6 +209,9 @@ def _endemic_roots(delta: float, d: np.ndarray, coeff: np.ndarray, tol: float):
     good at the first iterate with |g| <= tol and a next step g/|g'| of at
     most 1e-13*v.  The step is signed, so the test also ends a row once
     rounding puts g <= 0, as it does near R = 1, where g is rounding noise.
+    Both sums, g and g', are numpy's pairwise ``np.add.reduce``, not a BLAS
+    product, whose kernels add in an order that depends on the CPU; so
+    each row's bits do not depend on the BLAS kernel.
 
     Returns ``(v, |g(v)|)`` per row.  Raises :class:`ConvergenceError` with
     the last iterates and the worst |g| after ``NEWTON_MAX_ITER`` steps.
@@ -221,7 +224,7 @@ def _endemic_roots(delta: float, d: np.ndarray, coeff: np.ndarray, tol: float):
         # a finished row keeps its v, so its g is recomputed bit for bit
         np.add(delta, np.multiply(v[:, None], d, out=w), out=w)
         g = np.add.reduce(np.divide(coeff, w, out=terms), axis=1) - 1.0
-        step = g / (np.divide(terms, w, out=w) @ d)  # g/|g'|
+        step = g / np.add.reduce(np.multiply(np.divide(terms, w, out=w), d, out=w), axis=1)  # g/|g'|
         done |= (np.abs(g) <= tol) & (step <= 1e-13 * v)
         if done.all():
             return v, np.abs(g)
@@ -310,7 +313,9 @@ class Trajectory:
 
 
 def _ode_rhs(delta, d, q_hat, p):
-    return -delta * p + (1.0 - p) * d * np.dot(q_hat, p)
+    """p' = (1 - p)*d*theta - delta*p with theta = q_hat.p, as d*theta - p*(delta + d*theta)."""
+    d_theta = d * np.add.reduce(q_hat * p)
+    return d_theta - p * (delta + d_theta)
 
 
 def _rk4_step(delta, d, q_hat, p, dt):

@@ -146,13 +146,13 @@ def power_law(d_min: int, d_max: int, beta: float) -> DegreeDistribution:
 
     The normalization constant kappa = (sum of d**(-beta) over the degree
     set)**(-1) is stored on the result; bound evaluators require it.
-    Any positive exponent is accepted here, the analytic bounds check
+    Any positive finite exponent is accepted here, the analytic bounds check
     their own admissible exponent range.
     """
     if not (1 <= d_min <= d_max):
         raise ValueError(f"invalid degree range [{d_min}, {d_max}]")
-    if not beta > 0:
-        raise ValueError("power-law exponent must be positive")
+    if not (beta > 0 and math.isfinite(beta)):
+        raise ValueError(f"power-law exponent must be positive and finite, got {beta!r}")
     if _last_mass_bound(d_min, d_max, float(beta)) < MIN_MASS * (1.0 - 1e-9):
         # refused before the n-wide arrays are allocated, as DegreeDistribution
         # would refuse them; the bound is loose, and 1e-9 covers its rounding

@@ -89,12 +89,9 @@ class ForkedChild:
             try:
                 # Safe to fork though numpy's OpenBLAS workers make this
                 # process multi-threaded.  The child takes no lock those
-                # threads hold and never returns into the caller.  A child
-                # that calls BLAS (the cost split's root kernel does, in its
-                # matrix-vector product) finds no stale pool: OpenBLAS's
-                # pthread_atfork handler stops its thread pool before a fork,
-                # and the child starts its own on first use.  Python 3.12
-                # warns of such forks; this one is meant.
+                # threads hold and never returns into the caller.  No kernel
+                # a child runs calls BLAS.  Python 3.12 warns of such forks;
+                # this one is meant.
                 with warnings.catch_warnings():
                     warnings.filterwarnings(
                         "ignore",

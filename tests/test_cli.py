@@ -88,6 +88,17 @@ class TestScenarioValidation:
             "message": "invalid distribution: every mass entry must be at least 1e-15",
         }
 
+    @pytest.mark.parametrize("beta", ["Infinity", "1e400", "NaN"])
+    def test_non_finite_power_law_exponent_is_a_scenario_error(self, tmp_path, capsys, beta):
+        # json.load reads all three; the first two exited with "math domain error" before
+        obj = {"distribution": {"type": "powerlaw", "d_min": 1, "d_max": 10, "beta": "BETA"}, "delta": 2.0, "cost": 0.5}
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(obj).replace('"BETA"', beta), encoding="utf-8")
+        assert main(["solve", "pne", "--scenario", str(scenario), "--out", str(tmp_path / "pne.csv")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ScenarioError"
+        assert err["message"].startswith("invalid distribution: power-law exponent must be positive and finite")
+
     def test_unknown_keys_rejected(self, tmp_path):
         obj = k4_scenario()
         obj["extra"] = 1
@@ -656,8 +667,9 @@ class TestErrorExit:
             ("weightings", [{"kind": "identity", "alpha": 0.5}], "alpha"),
             ("weightings", [{"kind": "prelec", "alpha": 0.5, "beta": 2}], "beta"),
             ("distribution", {"type": "powerlaw", "d_min": 1, "d_max": 10, "beta": 3.0, "x": 1}, "'x'"),
+            ("cost", {"start": 0.2, "stop": 0.8, "steps": 3, "x": 1}, "'x'"),
         ],
-        ids=["dynamics", "dynamics-state", "bounds", "identity", "prelec", "distribution"],
+        ids=["dynamics", "dynamics-state", "bounds", "identity", "prelec", "distribution", "cost"],
     )
     def test_unknown_option_keys_exit_2(self, tmp_path, capsys, section, value, key):
         obj = k4_scenario(cost=0.8)

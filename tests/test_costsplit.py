@@ -367,8 +367,9 @@ print(rc, len(forks))
 """
 
 
-def test_a_child_runs_blas_after_the_parent_did(tmp_path):
-    # the child's root kernel calls BLAS in its matrix-vector product
+def test_a_fork_after_the_parent_started_blas_threads(tmp_path):
+    # the parent is multi-threaded when the cost split forks; the child
+    # calls no BLAS itself, but must neither hang nor write other bytes
     out = tmp_path / "pne.csv"
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=path)

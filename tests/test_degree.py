@@ -54,6 +54,9 @@ class TestPowerLaw:
             power_law(0, 10, 3.0)
         with pytest.raises(ValueError):
             power_law(1, 10, 0.0)
+        # an infinite exponent raised "math domain error" from the last-mass bound
+        with pytest.raises(ValueError, match="power-law exponent must be positive and finite"):
+            power_law(1, 10, float("inf"))
 
     def test_rejects_exponent_starving_the_tail(self):
         # steep exponents push tail masses below representable support;

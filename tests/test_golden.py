@@ -28,12 +28,28 @@ arrays, formatted a block at a time; no block may move a byte.
 ``dynamics_dense_dynamics.json`` (the same 141 rows, 64 + 64 + 13) was
 captured before the JSON writer streamed the table in those blocks, where
 ``dynamics_d100_dynamics.json`` (61 rows) fills less than one.
+Six were recaptured when the root kernel's derivative and the ODE's
+``theta = q_hat.p`` left BLAS for numpy's pairwise sum, whose order does
+not depend on the CPU, and the ODE's right-hand side was regrouped as
+``d*theta - p*(delta + d*theta)``.  In ``powerlaw_d100_pne.csv`` 7 of 399
+cells moved (``v``, ``expected_infected``, ``social_cost``), in
+``powerlaw_d100_opt.csv`` 4 of 456 (``pne_social_cost``, ``gap``), in
+each ``dynamics_d100_dynamics`` file 1,292 of 6,161 and in each
+``dynamics_dense_dynamics`` file 153 of 1,551 (``p_*`` only), all by at
+most 3.5e-16 relative; no integer, label or time cell moved.
+``bounds_d500_bounds.csv`` and ``single_degree_opt.csv`` did not move.
+Since then every exact file is also checked under other OpenBLAS kernels
+and under numpy's baseline SIMD dispatch, each in a child process.
 """
 
 import csv
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vaxgame.cli import main
@@ -99,3 +115,56 @@ def test_cli_bytes_match_golden(golden, tmp_path):
     rc = main(["solve", command, "--scenario", scenario_path, "--out", str(out), "--format", fmt])
     assert rc == 0
     assert out.read_bytes() == golden.read_bytes()
+
+
+# Writes every exact golden artifact named in argv[3:] into the directory
+# argv[2], from the scenarios under the checkout argv[1]; then prints the
+# CPU features numpy still dispatches to.
+ALL_EXACT = """
+import sys
+import numpy as np
+from vaxgame.cli import main
+
+root, out = sys.argv[1], sys.argv[2]
+for name in sys.argv[3:]:
+    scenario, rest = name.rsplit("_", 1)
+    command, fmt = rest.split(".")
+    scenario_path = f"{root}/scenarios/{scenario}.json"
+    if main(["solve", command, "--scenario", scenario_path, "--out", f"{out}/{name}", "--format", fmt]) != 0:
+        sys.exit(f"{name}: nonzero exit")
+umath = np._core._multiarray_umath if int(np.__version__.split(".")[0]) >= 2 else np.core._multiarray_umath
+print(*[f for f in getattr(umath, "__cpu_dispatch__", ()) if umath.__cpu_features__[f]])
+"""
+
+
+def numpy_dispatch_names():
+    """The SIMD targets numpy's loops may dispatch to at run time, or None if numpy does not list them."""
+    umath = np._core._multiarray_umath if int(np.__version__.split(".")[0]) >= 2 else np.core._multiarray_umath
+    return getattr(umath, "__cpu_dispatch__", None)
+
+
+@pytest.mark.parametrize("leg", ["Haswell", "Zen", "Prescott", "numpy-baseline"])
+def test_exact_bytes_on_every_cpu(leg, tmp_path):
+    # OpenBLAS picks its kernels per CPU, and OPENBLAS_CORETYPE forces
+    # another CPU's; NPY_DISABLE_CPU_FEATURES holds numpy's own loops to
+    # the build's baseline.  Both act only on the child they are set for.
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    if leg == "numpy-baseline":
+        names = numpy_dispatch_names()
+        if names is None:
+            pytest.skip("this numpy lists no dispatched CPU features to disable")
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(names)
+    else:
+        env["OPENBLAS_CORETYPE"] = leg
+    result = subprocess.run(
+        [sys.executable, "-c", ALL_EXACT, str(ROOT), str(tmp_path), *[p.name for p in EXACT]],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    if leg == "numpy-baseline":
+        assert result.stdout.split() == [], "numpy still dispatches to these"
+    assert [p.name for p in EXACT if (tmp_path / p.name).read_bytes() != p.read_bytes()] == []
