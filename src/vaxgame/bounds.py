@@ -81,14 +81,20 @@ def _require_beta3_d0(ctx: PowerLawBoundContext):
         raise ValueError("bound requires minimum degree larger than 1")
 
 
+def _require_endemic(ctx: PowerLawBoundContext, t: int) -> CandidateState:
+    """The full-threshold state at ``t``; KeyError for a ``t`` outside the
+    degrees, ValueError unless the state is endemic."""
+    state = CandidateState(ctx.distribution, t)
+    if reproduction(ctx.params, state) <= 1.0 + VALID_T_MARGIN:
+        raise ValueError(f"threshold {t} not large enough for an endemic state")
+    return state
+
+
 def endemic_odds(ctx: PowerLawBoundContext, t: int) -> float:
     """Infection odds t*v/(delta + t*v) of the threshold degree at the
     full-threshold state; the quantity the analytic bounds bracket."""
-    state = CandidateState(ctx.distribution, t)
-    params = ctx.params
-    if reproduction(params, state) <= 1.0 + VALID_T_MARGIN:
-        raise ValueError(f"threshold {t} not large enough for an endemic state")
-    return float(endemic_state(params, state).p[ctx.distribution.index_of(t)])
+    state = _require_endemic(ctx, t)
+    return float(endemic_state(ctx.params, state).p[ctx.distribution.index_of(t)])
 
 
 def odds_lower_bound(ctx: PowerLawBoundContext, t: int) -> float:
@@ -97,11 +103,10 @@ def odds_lower_bound(ctx: PowerLawBoundContext, t: int) -> float:
     Nonpositive (vacuously true) whenever t <= d0*B1.
     """
     _require_beta_range(ctx)
-    ctx.distribution.index_of(t)
     d0 = ctx.d0
     if t == d0:
         raise ValueError("lower bound undefined at the minimum degree")
-    endemic_odds(ctx, t)  # validates the endemic precondition
+    _require_endemic(ctx, t)
     return (t - d0 * ctx.b1) / (t - d0)
 
 
@@ -112,8 +117,7 @@ def odds_upper_bound(ctx: PowerLawBoundContext, t: int) -> float:
     reaches 1 or more.
     """
     _require_beta3_d0(ctx)
-    ctx.distribution.index_of(t)
-    endemic_odds(ctx, t)
+    _require_endemic(ctx, t)
     d0 = ctx.d0
     return (t - (d0 - 1) * ctx.b1) / (t - d0 + 1)
 

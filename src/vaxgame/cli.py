@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import PowerLawBoundContext, ratio_sandwich
+from .bounds import PowerLawBoundContext, _require_beta3_d0, ratio_sandwich
 from .dbmf import EpidemicParams, TableSizeError, integrate_dbmf
 from .degree import DegreeDistribution
 # bench/tracing.py patches ThresholdLadder, SocialOptimumSolver and social_cost by
@@ -155,8 +155,19 @@ def load_scenario(path: str) -> Scenario:
 
 
 def _require_costs(scenario: Scenario):
+    """Refuse, before any fork, a scenario that every cost would refuse.
+
+    That is one without costs, or one whose curing rate reaches
+    <d^2>/<d>, where no game is defined.
+    """
     if not scenario.costs:
         raise ScenarioError("this command requires 'cost' in the scenario")
+    if not scenario.params.epidemic_can_persist:
+        dist = scenario.distribution
+        raise ScenarioError(
+            f"'delta' must stay below <d^2>/<d> = {dist.second_moment / dist.mean_degree:g}; "
+            "otherwise the epidemic dies out regardless of vaccination choices"
+        )
 
 
 def _certified_equilibria(scenario: Scenario, params: EpidemicParams, ladder: ThresholdLadder, c: float):
@@ -278,7 +289,12 @@ def cmd_bounds(scenario: Scenario) -> tuple[list, list]:
         alpha = prelec(alpha).alpha
     except (ValueError, OverflowError) as exc:  # an int too large for a float overflows
         raise ScenarioError(f"invalid 'bounds.alpha': {exc}") from None
-    ctx = PowerLawBoundContext.create(scenario.distribution, scenario.delta)
+    try:
+        ctx = PowerLawBoundContext.create(scenario.distribution, scenario.delta)
+        # ratio_sandwich's own check, made once here rather than in each process
+        _require_beta3_d0(ctx)
+    except ValueError as exc:
+        raise ScenarioError(f"invalid bounds scenario: {exc}") from None
     ladder = ThresholdLadder(ctx.params)
     header = [
         "c",

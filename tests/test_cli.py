@@ -657,6 +657,34 @@ class TestErrorExit:
             assert err["error"] == "ScenarioError" and "bounds.alpha" in err["message"], alpha
 
     @pytest.mark.parametrize(
+        "what, distribution, delta, message",
+        [
+            # delta = 50 reaches <d^2>/<d>: no game is defined at any cost
+            ("pne", {"type": "powerlaw", "d_min": 1, "d_max": 50, "beta": 3.0}, 50.0, "delta"),
+            ("opt", {"type": "powerlaw", "d_min": 1, "d_max": 50, "beta": 3.0}, 50.0, "delta"),
+            # the sandwich needs exponent 3, a minimum degree above 1 and a power law
+            ("bounds", {"type": "powerlaw", "d_min": 1, "d_max": 50, "beta": 3.0}, 2.0, "minimum degree"),
+            ("bounds", {"type": "powerlaw", "d_min": 2, "d_max": 50, "beta": 2.5}, 2.0, "exponent 3"),
+            ("bounds", {"type": "explicit", "mass": {"4": 0.5, "8": 0.5}}, 2.0, "power-law"),
+        ],
+        ids=["pne-delta", "opt-delta", "bounds-d_min", "bounds-beta", "bounds-explicit"],
+    )
+    def test_inputs_every_cost_refuses_exit_2_before_a_fork(
+        self, tmp_path, monkeypatch, capsys, what, distribution, delta, message
+    ):
+        # each forked a child and failed on both sides, then solved the costs
+        # again in order and exited as a ValueError; explicit ran no fork
+        obj = k4_scenario(cost={"start": 0.2, "stop": 0.8, "steps": 4})
+        obj.update(distribution=distribution, delta=delta, bounds={"alpha": 0.5})
+        out = tmp_path / "o.csv"
+        set_cpus(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        assert main(["solve", what, "--scenario", write_scenario(tmp_path, obj), "--out", str(out)]) == 2
+        assert forks() == 0 and not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ScenarioError" and message in err["message"]
+
+    @pytest.mark.parametrize(
         "section, value, key",
         [
             # ran to the default t_end = 25 before

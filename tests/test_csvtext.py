@@ -55,11 +55,12 @@ class TestAgainstPercentFormat:
         arrays(
             np.float64,
             st.tuples(st.integers(1, 20), st.integers(1, 12)),
-            elements=st.one_of(st.floats(), st.floats(1e-4, 1e16, exclude_max=True)),
+            elements=st.one_of(st.floats(), st.floats(1e-4, 1.0, exclude_max=True)),
         )
     )
     def test_any_doubles(self, rows):
-        # hypothesis draws subnormals, signed zeros, infinities and NaN among them
+        # the first strategy draws subnormals, signed zeros, infinities and NaN
+        # for the "%.17g" fallback, the second the fast range [1e-4, 1)
         assert csv_rows(rows) == reference(rows)
 
     def test_neighbours_of_powers_of_ten(self):
@@ -75,7 +76,7 @@ class TestAgainstPercentFormat:
         # come closest to a carry into an 18th digit
         rng = np.random.default_rng(18)
         found = []
-        for x in (10.0 ** rng.uniform(-4, 16, 20_000)).tolist():
+        for x in (10.0 ** rng.uniform(-4, 0, 20_000)).tolist():
             scaled = Decimal(x).scaleb(16 - exponent(x))
             truncated = int(scaled.to_integral_value(rounding=ROUND_FLOOR))
             if truncated % 100 == 99 and int(scaled.to_integral_value(rounding=ROUND_HALF_EVEN)) > truncated:
@@ -83,6 +84,19 @@ class TestAgainstPercentFormat:
         assert len(found) >= 20
         found += [np.nextafter(float(f"1e{k}"), 0) for k in range(-3, 17)]
         assert_exact(found)
+
+    def test_no_digits_round_into_the_next_decade(self):
+        # the kernel counts zeros by comparing with the doubles 1e-3, 1e-2 and
+        # 1e-1, and mends no carry: each of those and 1e-4 lies above its power
+        # of ten with no double between, and the largest double below each
+        # power of ten from 1e-3 to 1 lies more than half a unit of the 17th
+        # digit below it
+        for k in range(1, 5):
+            x = float(f"1e-{k}")
+            assert Fraction(np.nextafter(x, 0)) < Fraction(1, 10**k) < Fraction(x)
+        for k in range(4):
+            below = Fraction(np.nextafter(float(f"1e-{k}"), 0))
+            assert Fraction(1, 10**k) - below > Fraction(1, 2 * 10 ** (17 + k))
 
     def test_exact_ties_round_half_to_even(self):
         # x = m / 2**(17 - X), m odd, makes x * 10**(16 - X) = m * 5**(16 - X) / 2
@@ -139,7 +153,7 @@ class TestTrajectoryOracle:
         obj = {"distribution": obj["distribution"], "delta": obj["delta"], "dynamics": {"t_end": 0.2}}
         assert len(self.run(tmp_path, obj)) > 64
 
-    def test_p0_list_takes_the_fallback_and_integer_parts(self, tmp_path):
+    def test_p0_list_takes_the_fallback(self, tmp_path):
         p0 = [0.0, 1.0, 1e-5] * 3 + [0.5, 0.25]
         obj = {
             "distribution": {"type": "powerlaw", "d_min": 1, "d_max": 11, "beta": 3.0},
@@ -147,6 +161,6 @@ class TestTrajectoryOracle:
             "dynamics": {"p0": p0, "t_end": 2.0},
         }
         table = self.run(tmp_path, obj)
-        # "%.17g" fallbacks (0 and values below 1e-4) and fields of X >= 0
+        # "%.17g" fallbacks: 0, values below 1e-4 and times from one up
         assert (table == 0.0).any() and ((table > 0) & (table < 1e-4)).any()
         assert (table >= 1.0).sum() > len(table) // 2
