@@ -26,14 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import degree
 from .bounds import PowerLawBoundContext, _require_beta3_d0, ratio_sandwich
 from .dbmf import EpidemicParams, TableSizeError, integrate_dbmf
-from .degree import DegreeDistribution
 # bench/tracing.py patches ThresholdLadder, SocialOptimumSolver and social_cost by
 # these names, so they stay though this module no longer calls social_cost
 from .game import CandidateState, GameSpec, ThresholdLadder, solve_pne, verify_pne
 from .planner import SocialOptimumSolver, social_cost  # noqa: F401
-from .weighting import WeightingSpec, prelec
+from .weighting import identity, prelec
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario", "main"]
 
@@ -46,7 +46,7 @@ class ScenarioError(ValueError):
 class Scenario:
     """Validated scenario: network, curing rate, weightings, costs, options."""
 
-    distribution: DegreeDistribution
+    distribution: degree.DegreeDistribution
     delta: float
     weightings: list
     costs: list
@@ -63,14 +63,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _is_number(value) -> bool:
-    # type(), not isinstance: JSON true is a bool, which is an int
-    return type(value) in (int, float)
-
-
-# Keys each option object, and a cost sweep object, accepts;
+# Keys each scenario object accepts: the scenario itself, each distribution
+# type, each weighting kind, a cost sweep and the option blocks;
 # "dynamics.state" is the object under dynamics["state"].
-OPTION_KEYS = {
+KEYS = {
+    "scenario": {"distribution", "delta", "weightings", "cost", "dynamics", "bounds"},
+    "powerlaw": {"type", "d_min", "d_max", "beta"},
+    "explicit": {"type", "mass"},
+    "identity": {"kind"},
+    "prelec": {"kind", "alpha"},
     "cost": {"start", "stop", "steps"},
     "dynamics": {"p0", "t_end", "dt", "sample_stride", "state"},
     "dynamics.state": {"threshold", "fraction"},
@@ -79,79 +80,129 @@ OPTION_KEYS = {
 
 
 def _reject_unknown_keys(name: str, obj: dict):
-    unknown = set(obj) - OPTION_KEYS[name]
+    unknown = set(obj) - KEYS[name]
     if unknown:
         raise ScenarioError(f"unknown '{name}' keys: {sorted(unknown)}")
+
+
+def _variant(obj: dict, field: str, kinds: tuple, what: str) -> str:
+    """The one of ``kinds`` that ``obj[field]`` names, once ``obj`` has only its keys."""
+    kind = obj.get(field)
+    if kind not in kinds:
+        raise ScenarioError(f"unknown {what} {field} {kind!r}")
+    _reject_unknown_keys(kind, obj)
+    return kind
+
+
+def _number(value, key: str, positive: bool = False) -> float:
+    """``value`` as a float, for a JSON int or float that a float can hold.
+
+    With ``positive``, the float must also be positive and finite.
+    """
+    # type(), not isinstance: JSON true is a bool, which is an int
+    if type(value) not in (int, float):
+        raise ScenarioError(f"'{key}' must be a number")
+    try:
+        value = float(value)
+    except OverflowError:  # an int past the float range
+        raise ScenarioError(f"'{key}' must be a number a float can hold") from None
+    if positive and not 0.0 < value < np.inf:
+        raise ScenarioError(f"'{key}' must be a positive finite number")
+    return value
+
+
+def _integer(value, key: str, least=None) -> int:
+    """``value`` for a JSON int that a float can hold, and at least ``least`` if given."""
+    if type(value) is not int:
+        raise ScenarioError(f"'{key}' must be an integer")
+    _number(value, key)
+    if least is not None and value < least:
+        raise ScenarioError(f"'{key}' must be an integer of at least {least}")
+    return value
+
+
+def _built(what: str, build, *args):
+    """``build(*args)``, its refusal of a scenario value raised as a ScenarioError."""
+    try:
+        return build(*args)
+    except (KeyError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"invalid {what}: {exc}") from None
+
+
+def _unique_keys(pairs: list) -> dict:
+    """``json`` object hook: the object of ``pairs``, refusing a key given twice."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ScenarioError(f"key '{key}' is given twice in one object")
+        obj[key] = value
+    return obj
 
 
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except FileNotFoundError as exc:
         raise ScenarioError(f"scenario file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ScenarioError:
+        raise
+    except ValueError as exc:  # a decode error, or an int past the digit limit
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")
+    _reject_unknown_keys("scenario", raw)
 
-    if not isinstance(raw.get("distribution"), dict):
+    spec = raw.get("distribution")
+    if not isinstance(spec, dict):
         raise ScenarioError("scenario needs a 'distribution' object")
-    try:
-        distribution = DegreeDistribution.from_json(raw["distribution"])
-    except KeyError as exc:
-        raise ScenarioError(f"distribution is missing {exc}") from None
-    except (ValueError, TypeError) as exc:
-        raise ScenarioError(f"invalid distribution: {exc}") from exc
+    if _variant(spec, "type", ("powerlaw", "explicit"), "distribution") == "powerlaw":
+        d_min = _integer(spec.get("d_min"), "distribution.d_min")
+        d_max = _integer(spec.get("d_max"), "distribution.d_max")
+        beta = _number(spec.get("beta"), "distribution.beta")
+        # through the module: the benchmark's tracer patches degree.power_law
+        distribution = _built("distribution", degree.power_law, d_min, d_max, beta)
+    else:
+        mass = spec.get("mass")
+        if not isinstance(mass, dict):
+            raise ScenarioError("'distribution.mass' must map degrees to numbers")
+        mass = {d: _number(m, f"distribution.mass.{d}") for d, m in mass.items()}
+        distribution = _built("'distribution.mass'", degree.explicit, mass)
 
-    delta = raw.get("delta")
-    if not (_is_number(delta) and 0 < delta < np.inf):
-        raise ScenarioError("'delta' must be a positive finite number")
+    delta = _number(raw.get("delta"), "delta", positive=True)
 
     specs = raw.get("weightings", [{"kind": "identity"}])
     if not (isinstance(specs, list) and specs and all(isinstance(w, dict) for w in specs)):
         raise ScenarioError("'weightings' must be a nonempty list of objects")
-    try:
-        weightings = [WeightingSpec.from_json(w) for w in specs]
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ScenarioError(f"invalid weighting: {exc}") from exc
+    weightings = [
+        identity()
+        if _variant(w, "kind", ("identity", "prelec"), "weighting") == "identity"
+        else _built(f"'weightings[{i}]'", prelec, _number(w.get("alpha"), f"weightings[{i}].alpha"))
+        for i, w in enumerate(specs)
+    ]
 
     cost = raw.get("cost")
     if isinstance(cost, dict):
         _reject_unknown_keys("cost", cost)
-        try:
-            start, stop, steps = cost["start"], cost["stop"], cost["steps"]
-        except KeyError as exc:
-            raise ScenarioError("cost sweep needs numeric 'start', 'stop', 'steps'") from exc
-        if not (_is_number(start) and _is_number(stop)):
-            raise ScenarioError("cost sweep 'start' and 'stop' must be numbers")
-        if not start < stop:
-            raise ScenarioError("cost sweep requires start < stop")
-        if type(steps) is not int or steps < 2:
-            raise ScenarioError("cost sweep 'steps' must be an integer of at least 2")
+        start, stop = _number(cost.get("start"), "cost.start"), _number(cost.get("stop"), "cost.stop")
+        steps = _integer(cost.get("steps"), "cost.steps", least=2)
+        if not 0.0 < start < stop < 1.0:
+            raise ScenarioError("a cost sweep needs 0 < start < stop < 1")
         costs = [float(c) for c in np.linspace(start, stop, steps)]
-    elif _is_number(cost):
-        costs = [float(cost)]
-    elif cost is None:
-        costs = []
     else:
-        raise ScenarioError("'cost' must be a number or a sweep object")
+        costs = [] if cost is None else [_number(cost, "cost")]
     if any(not (0.0 < c < 1.0) for c in costs):
         raise ScenarioError("all costs must lie strictly inside (0, 1)")
 
-    known = {"distribution", "delta", "weightings", "cost", "dynamics", "bounds"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
     options = {k: raw[k] for k in ("dynamics", "bounds") if k in raw}
-    if any(not isinstance(v, dict) for v in options.values()):
-        raise ScenarioError("'dynamics' and 'bounds' must be objects")
     for name, obj in options.items():
+        if not isinstance(obj, dict):
+            raise ScenarioError(f"'{name}' must be an object")
         _reject_unknown_keys(name, obj)
     state = options.get("dynamics", {}).get("state")
     if isinstance(state, dict):
         _reject_unknown_keys("dynamics.state", state)
-    return Scenario(distribution, float(delta), weightings, costs, options)
+    return Scenario(distribution, delta, weightings, costs, options)
 
 
 def _require_costs(scenario: Scenario):
@@ -276,25 +327,17 @@ def cmd_bounds(scenario: Scenario) -> tuple[list, list]:
     with one ladder for each process.
     """
     _require_costs(scenario)
-    opts = scenario.options.get("bounds", {})
-    alpha = opts.get("alpha")
+    alpha = scenario.options.get("bounds", {}).get("alpha")
     if alpha is None:
         prelecs = [w for w in scenario.weightings if w.kind == "prelec"]
         if not prelecs:
             raise ScenarioError("bounds command needs a prelec weighting or bounds.alpha")
         alpha = prelecs[0].alpha
-    elif not _is_number(alpha):
-        raise ScenarioError("'bounds.alpha' must be a number")
-    try:
-        alpha = prelec(alpha).alpha
-    except (ValueError, OverflowError) as exc:  # an int too large for a float overflows
-        raise ScenarioError(f"invalid 'bounds.alpha': {exc}") from None
-    try:
-        ctx = PowerLawBoundContext.create(scenario.distribution, scenario.delta)
-        # ratio_sandwich's own check, made once here rather than in each process
-        _require_beta3_d0(ctx)
-    except ValueError as exc:
-        raise ScenarioError(f"invalid bounds scenario: {exc}") from None
+    else:
+        alpha = _built("'bounds.alpha'", prelec, _number(alpha, "bounds.alpha")).alpha
+    ctx = _built("bounds scenario", PowerLawBoundContext.create, scenario.distribution, scenario.delta)
+    # ratio_sandwich's own check, made once here rather than in each process
+    _built("bounds scenario", _require_beta3_d0, ctx)
     ladder = ThresholdLadder(ctx.params)
     header = [
         "c",
@@ -352,39 +395,34 @@ def cmd_dynamics(scenario: Scenario, out, fmt: str):
         state = CandidateState.all_unprotected(dist)
     else:
         if not isinstance(state_spec, dict):
-            raise ScenarioError("dynamics 'state' must be an object")
+            raise ScenarioError("'dynamics.state' must be an object")
         threshold, fraction = state_spec.get("threshold"), state_spec.get("fraction")
-        if not (threshold is None or type(threshold) is int) or not (
-            fraction is None or _is_number(fraction)
-        ):
-            raise ScenarioError("dynamics 'state' needs an integer 'threshold' and a number 'fraction'")
         if threshold is None and fraction is not None:
             # no threshold names everyone vaccinated, where a fraction means nothing
-            raise ScenarioError("dynamics 'state' has a 'fraction' but no 'threshold'")
-        try:
-            state = CandidateState(dist, threshold, fraction)
-        except (KeyError, ValueError) as exc:
-            raise ScenarioError(f"invalid dynamics state: {exc}") from exc
+            raise ScenarioError("'dynamics.state' has a 'fraction' but no 'threshold'")
+        if threshold is not None:
+            threshold = _integer(threshold, "dynamics.state.threshold")
+        if fraction is not None:
+            fraction = _number(fraction, "dynamics.state.fraction")
+        state = _built("'dynamics.state'", CandidateState, dist, threshold, fraction)
     p0 = opts.get("p0", 0.5)
-    t_end = opts.get("t_end", 25.0)
+    if isinstance(p0, list):
+        p0 = [_number(x, "dynamics.p0") for x in p0]
+        if len(p0) != dist.size:
+            raise ScenarioError(f"'dynamics.p0' list needs one value per degree: {dist.size}, not {len(p0)}")
+    else:
+        p0 = _number(p0, "dynamics.p0")
+    t_end = _number(opts.get("t_end", 25.0), "dynamics.t_end", positive=True)
     dt = opts.get("dt")
-    stride = opts.get("sample_stride", 1)
-    if not (_is_number(p0) or (isinstance(p0, list) and all(_is_number(x) for x in p0))):
-        raise ScenarioError("dynamics 'p0' must be a number or a list of numbers")
-    if isinstance(p0, list) and len(p0) != dist.size:
-        raise ScenarioError(f"dynamics 'p0' list needs one value per degree: {dist.size}, not {len(p0)}")
-    if not (_is_number(t_end) and 0 < t_end < np.inf):
-        raise ScenarioError("dynamics 't_end' must be a positive finite number")
-    if dt is not None and not (_is_number(dt) and 0 < dt < np.inf):
-        raise ScenarioError("dynamics 'dt' must be a positive finite number")
-    if type(stride) is not int or stride < 1:
-        raise ScenarioError("dynamics 'sample_stride' must be an integer of at least 1")
+    if dt is not None:
+        dt = _number(dt, "dynamics.dt", positive=True)
+    stride = _integer(opts.get("sample_stride", 1), "dynamics.sample_stride", least=1)
     header = ["t"] + [f"p_{int(d)}" for d in dist.degrees]
     from .forking import ForkedWriter
 
     with ForkedWriter(_TableSink(out, fmt, header)) as sink:
         try:
-            integrate_dbmf(params, state, p0, float(t_end), None if dt is None else float(dt), stride, sink)
+            integrate_dbmf(params, state, p0, t_end, dt, stride, sink)
         except TableSizeError as exc:
             raise ScenarioError(f"dynamics trajectory too large: {exc}") from exc
 

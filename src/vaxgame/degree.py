@@ -100,38 +100,6 @@ class DegreeDistribution:
             np.array_equal(self.degrees, other.degrees) and np.array_equal(self.mass, other.mass)
         )
 
-    def to_json(self) -> dict:
-        if self.normalization is not None:
-            return {
-                "type": "powerlaw",
-                "d_min": self.d_min,
-                "d_max": self.d_max,
-                "beta": self.exponent,
-            }
-        return {
-            "type": "explicit",
-            "mass": {str(int(d)): float(m) for d, m in zip(self.degrees, self.mass)},
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "DegreeDistribution":
-        kind = obj.get("type")
-        keys = {"powerlaw": {"type", "d_min", "d_max", "beta"}, "explicit": {"type", "mass"}}
-        if not (isinstance(kind, str) and kind in keys):
-            raise ValueError(f"unknown distribution type {kind!r}")
-        if unknown := set(obj) - keys[kind]:
-            raise ValueError(f"unknown {kind} keys: {sorted(unknown)}")
-        # type(), not isinstance: JSON true is a bool, which is an int
-        if kind == "powerlaw":
-            d_min, d_max, beta = obj["d_min"], obj["d_max"], obj["beta"]
-            if type(d_min) is not int or type(d_max) is not int or type(beta) not in (int, float):
-                raise TypeError("powerlaw needs integers 'd_min', 'd_max' and a number 'beta'")
-            return power_law(d_min, d_max, float(beta))
-        mass = obj["mass"]
-        if not isinstance(mass, dict) or any(type(m) not in (int, float) for m in mass.values()):
-            raise TypeError("explicit 'mass' must map degrees to numbers")
-        return explicit(mass)
-
     def __repr__(self):
         if self.normalization is not None:
             return (
@@ -171,8 +139,10 @@ def _last_mass_bound(d_min: int, d_max: int, beta: float) -> float:
 
     As x**(-beta) falls, the sum is at least its integral over [d_min, d_max + 1]:
     d_min**(1 - beta) * L * expm1(z)/z, with L = ln((d_max + 1)/d_min) and z = (1 - beta)*L.
+    L is taken through log1p, since the difference of two logarithms rounds
+    to 0 once d_min passes about 3e14.
     """
-    span = math.log(d_max + 1) - math.log(d_min)
+    span = math.log1p((d_max - d_min + 1) / d_min)
     z = (1.0 - beta) * span
     log_integral = (1.0 - beta) * math.log(d_min) + math.log(span * (math.expm1(z) / z if z else 1.0))
     return math.exp(-beta * math.log(d_max) - log_integral)

@@ -57,27 +57,6 @@ class WeightingSpec:
     def label(self) -> str:
         return "identity" if self.kind == "identity" else f"prelec({self.alpha:g})"
 
-    def to_json(self) -> dict:
-        if self.kind == "identity":
-            return {"kind": "identity"}
-        return {"kind": "prelec", "alpha": self.alpha}
-
-    @staticmethod
-    def from_json(obj: dict) -> "WeightingSpec":
-        kind = obj.get("kind")
-        keys = {"identity": {"kind"}, "prelec": {"kind", "alpha"}}
-        if not (isinstance(kind, str) and kind in keys):
-            raise ValueError(f"unknown weighting kind {kind!r}")
-        if unknown := set(obj) - keys[kind]:
-            raise ValueError(f"unknown {kind} weighting keys: {sorted(unknown)}")
-        if kind == "identity":
-            return identity()
-        alpha = obj["alpha"]
-        # type(), not isinstance: JSON true is a bool, which is an int
-        if type(alpha) not in (int, float):
-            raise TypeError(f"prelec alpha must be a number, got {alpha!r}")
-        return prelec(alpha)
-
 
 def identity() -> WeightingSpec:
     return WeightingSpec("identity")

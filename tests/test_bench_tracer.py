@@ -81,3 +81,18 @@ def test_traced_dynamics_counts_rk4_steps(tmp_path):
     assert settle["dbmf.settle_dbmf.calls"] == 1
     assert settle["dbmf.integrate_dbmf.steps"] == 0
     assert settle["dbmf.rhs_evals"] > 0 and settle["dbmf.rhs_evals"] % 4 == 0
+
+
+def test_traced_load_spans_power_law():
+    # the reader calls degree.power_law through the module; one that
+    # imported the name would bypass the patch and read 0 here
+    tracer = Tracer()
+    try:
+        tracer.install()
+        tracer.job = 0
+        cli.load_scenario(str(ROOT / "scenarios" / "powerlaw_d100.json"))
+    finally:
+        tracer.uninstall()
+    metrics = per_layer_metrics(tracer, 0, job_s=1.0, artifact_bytes=0)
+    assert metrics["degree.power_law_s"] > 0
+    assert metrics["cli.load_scenario_s"] > 0

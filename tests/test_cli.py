@@ -1,20 +1,26 @@
 """Scenario loading, command artifacts, determinism, error behavior."""
 
+import contextlib
 import errno
 import io
 import json
+import math
 import os
 import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import WriteOnly, assert_no_child, count_forks, set_cpus
 
 from vaxgame.cli import ScenarioError, _TableSink, cmd_dynamics, load_scenario, main
 from vaxgame.dbmf import BLOCK_ROWS, MAX_TABLE_BYTES
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+# a JSON integer that no float holds
+BIG = 10**400
 WITH_COSTS = [p for p in sorted(SCENARIOS.glob("*.json")) if "cost" in json.loads(p.read_text(encoding="utf-8"))]
 
 
@@ -548,6 +554,8 @@ class TestErrorExit:
             (("weightings",), ["identity"], "weightings"),
             # reported as a missing 'distribution' before
             (("distribution",), {"type": "powerlaw", "d_min": 1, "beta": 3.0}, "d_max"),
+            (("distribution",), {"type": "lognormal"}, "lognormal"),
+            (("weightings", 0), {"kind": "tversky"}, "tversky"),
         ],
         ids=[
             "start-string",
@@ -560,6 +568,8 @@ class TestErrorExit:
             "distribution-list",
             "weighting-string",
             "d_max-missing",
+            "unknown-type",
+            "unknown-kind",
         ],
     )
     def test_mistyped_nested_values_exit_2(self, tmp_path, capsys, path, value, message):
@@ -685,6 +695,77 @@ class TestErrorExit:
         assert err["error"] == "ScenarioError" and message in err["message"]
 
     @pytest.mark.parametrize(
+        "what, path, value, key",
+        [
+            ("pne", ("delta",), BIG, "delta"),
+            ("pne", ("cost",), BIG, "cost"),
+            ("pne", ("distribution",), {"type": "powerlaw", "d_min": 1, "d_max": 10, "beta": BIG}, "beta"),
+            ("pne", ("distribution", "mass", "4"), BIG, "mass"),
+            ("pne", ("distribution", "mass"), {"9223372036854775808": 1.0}, "mass"),
+            ("pne", ("weightings", 0, "alpha"), BIG, "alpha"),
+            ("dynamics", ("dynamics", "t_end"), BIG, "t_end"),
+            ("dynamics", ("dynamics", "dt"), BIG, "dt"),
+            ("dynamics", ("dynamics", "p0"), BIG, "p0"),
+            ("dynamics", ("dynamics", "p0"), [BIG], "p0"),
+            ("dynamics", ("dynamics", "state", "fraction"), BIG, "fraction"),
+            # a UFuncTypeError from np.linspace before, the others an OverflowError
+            ("pne", ("cost",), {"start": -BIG, "stop": 0.9, "steps": 3}, "start"),
+            ("pne", ("cost",), {"start": 0.1, "stop": BIG, "steps": 3}, "stop"),
+            # np.arange raises OverflowError past int64
+            ("pne", ("distribution",), {"type": "powerlaw", "d_min": 2**63, "d_max": 2**63, "beta": 3}, "distribution"),
+        ],
+        ids=[
+            "delta",
+            "cost",
+            "beta",
+            "mass",
+            "degree-key",
+            "alpha",
+            "t_end",
+            "dt",
+            "p0",
+            "p0-list",
+            "fraction",
+            "start",
+            "stop",
+            "degree-past-int64",
+        ],
+    )
+    def test_numbers_no_float_holds_exit_2_before_a_fork(self, tmp_path, monkeypatch, capsys, what, path, value, key):
+        obj = k4_scenario()
+        obj["weightings"] = [{"kind": "prelec", "alpha": 0.5}]
+        obj["dynamics"] = {"p0": 0.5, "t_end": 1.0, "dt": 0.5, "state": {"threshold": 4, "fraction": 0.5}}
+        node = obj
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+        out = tmp_path / "o.csv"
+        set_cpus(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        assert main(["solve", what, "--scenario", write_scenario(tmp_path, obj), "--out", str(out)]) == 2
+        assert forks() == 0 and not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ScenarioError" and key in err["message"]
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            # ran with cost 0.9 before: json.load keeps the last value
+            ('{"distribution": {"type": "explicit", "mass": {"4": 1.0}}, "delta": 2.0, "cost": 0.3, "cost": 0.9}', "cost"),
+            ('{"distribution": {"type": "explicit", "mass": {"4": 0.5, "4": 1.0}}, "delta": 2.0, "cost": 0.3}', "4"),
+        ],
+        ids=["scenario", "mass"],
+    )
+    def test_a_key_given_twice_exits_2(self, tmp_path, capsys, text, key):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(text, encoding="utf-8")
+        out = tmp_path / "o.csv"
+        assert main(["solve", "pne", "--scenario", str(scenario), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ScenarioError" and f"'{key}'" in err["message"]
+
+    @pytest.mark.parametrize(
         "section, value, key",
         [
             # ran to the default t_end = 25 before
@@ -795,3 +876,92 @@ class TestErrorExit:
         rc = main(["solve", "pne", "--scenario", scenario, "--out", str(tmp_path / "o.csv")])
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ScenarioError"
+
+
+class TestBadValueProperty:
+    """One bad value at one key path of a valid scenario exits 2 as a ScenarioError.
+
+    Every block is present, so each path is read by the command run on it,
+    and no other exception type may escape.  The one exception is a
+    non-finite ``dynamics.p0``: the integrator's own range check names
+    ``p0`` as a ValueError (``test_nan_p0_is_named``).
+    """
+
+    BASE = {
+        "distribution": {"type": "powerlaw", "d_min": 2, "d_max": 10, "beta": 3.0},
+        "delta": 1.0,
+        "weightings": [{"kind": "identity"}, {"kind": "prelec", "alpha": 0.5}],
+        "cost": {"start": 0.2, "stop": 0.8, "steps": 3},
+        "dynamics": {"p0": [0.5] * 9, "t_end": 1.0, "dt": 0.5, "sample_stride": 1, "state": {"threshold": 4, "fraction": 0.05}},
+        "bounds": {"alpha": 0.5},
+    }
+    # path: (command, integer key, None is refused); a path into "mass" reads
+    # an explicit distribution, and the "mass" path itself takes a bad degree key
+    PATHS = {
+        ("distribution", "d_min"): ("pne", True, True),
+        ("distribution", "d_max"): ("pne", True, True),
+        ("distribution", "beta"): ("pne", False, True),
+        ("distribution", "mass"): ("pne", None, False),
+        ("distribution", "mass", "4"): ("pne", False, True),
+        ("delta",): ("pne", False, True),
+        ("weightings", 1, "alpha"): ("pne", False, True),
+        ("cost",): ("pne", False, True),
+        ("cost", "start"): ("pne", False, True),
+        ("cost", "stop"): ("pne", False, True),
+        ("cost", "steps"): ("pne", True, True),
+        ("dynamics", "p0"): ("dynamics", False, True),
+        ("dynamics", "p0", 0): ("dynamics", False, True),
+        ("dynamics", "t_end"): ("dynamics", False, True),
+        ("dynamics", "dt"): ("dynamics", False, False),
+        ("dynamics", "sample_stride"): ("dynamics", True, True),
+        ("dynamics", "state", "threshold"): ("dynamics", True, False),
+        ("dynamics", "state", "fraction"): ("dynamics", False, False),
+        ("bounds", "alpha"): ("bounds", False, False),
+    }
+
+    @staticmethod
+    @st.composite
+    def cases(draw):
+        """A key path and the bad value to put there."""
+        path = draw(st.sampled_from(sorted(TestBadValueProperty.PATHS, key=str)))
+        _, integer, required = TestBadValueProperty.PATHS[path]
+        if integer is None:
+            degree = draw(st.one_of(st.integers(min_value=2**63), st.integers(max_value=-(2**63) - 1)))
+            return path, {str(degree): 1.0}
+        values = [
+            st.booleans(),
+            st.text(max_size=5),
+            st.lists(st.floats(0, 1), max_size=2),
+            st.dictionaries(st.text(max_size=3), st.floats(0, 1), max_size=2),
+            st.integers(min_value=2**1024, max_value=BIG),
+            st.integers(min_value=-BIG, max_value=-(2**1024)),
+            st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+        ]
+        if required:
+            values.append(st.none())
+        if integer:
+            values.append(st.floats(allow_nan=False, allow_infinity=False))
+        return path, draw(st.one_of(values))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(case=cases())
+    def test_one_bad_value_exits_2(self, tmp_path_factory, case):
+        path, value = case
+        obj = json.loads(json.dumps(self.BASE))
+        if "mass" in path:
+            obj["distribution"] = {"type": "explicit", "mass": {"2": 0.5, "4": 0.5}}
+        node = obj
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+        tmp_path = tmp_path_factory.mktemp("bad")
+        out = tmp_path / "o.csv"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["solve", self.PATHS[path][0], "--scenario", write_scenario(tmp_path, obj), "--out", str(out)])
+        assert rc == 2 and not out.exists(), (path, value)
+        err = json.loads(err.getvalue())
+        if path[:2] == ("dynamics", "p0") and err["error"] == "ValueError":
+            assert "p0" in err["message"] and not math.isfinite(value), (path, value, err)
+        else:
+            assert err["error"] == "ScenarioError" and path[0] in err["message"], (path, value, err)

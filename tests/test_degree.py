@@ -69,6 +69,22 @@ class TestPowerLaw:
         with pytest.raises(ValueError, match=f"every mass entry must be at least {MIN_MASS}"):
             power_law(1, 10**15, 3.0)
 
+    @pytest.mark.parametrize("d_min, d_max", [(10**15, 10**15), (10**17, 10**17 + 3)])
+    def test_a_range_of_huge_degrees_is_built(self, d_min, d_max):
+        # ln(d_max + 1) - ln(d_min) rounded to 0 here, and the last-mass bound
+        # raised "math domain error" though explicit() built the same degrees
+        dist = power_law(d_min, d_max, 3.0)
+        assert dist.degrees.tolist() == list(range(d_min, d_max + 1))
+        assert dist.mass == pytest.approx(np.full(dist.size, 1.0 / dist.size), rel=1e-12)
+        if d_min == d_max:
+            assert dist.same_support(explicit({d_min: 1.0}))
+
+    def test_a_degree_past_int64_overflows(self):
+        # the bound passes it, and np.arange refuses it; the scenario reader
+        # turns this into a ScenarioError
+        with pytest.raises(OverflowError):
+            power_law(2**63, 2**63, 3.0)
+
     @pytest.mark.parametrize(
         "beta, d_min, largest",
         [
@@ -159,21 +175,3 @@ class TestValidation:
         dist = power_law(1, 5, 3.0)
         with pytest.raises(ValueError):
             dist.mass[0] = 0.5
-
-
-class TestJson:
-    def test_powerlaw_round_trip(self):
-        dist = power_law(2, 50, 2.5)
-        clone = DegreeDistribution.from_json(dist.to_json())
-        assert clone.same_support(dist)
-        assert clone.normalization == dist.normalization
-
-    def test_explicit_round_trip(self):
-        dist = explicit({4: 0.25, 9: 0.75})
-        clone = DegreeDistribution.from_json(dist.to_json())
-        assert clone.same_support(dist)
-        assert clone.normalization is None
-
-    def test_unknown_type(self):
-        with pytest.raises(ValueError):
-            DegreeDistribution.from_json({"type": "lognormal"})

@@ -71,14 +71,6 @@ class TestWeight:
         with pytest.raises(ValueError):
             prelec(1.5)
 
-    def test_json_round_trip(self):
-        from vaxgame import WeightingSpec
-
-        for spec in (identity(), prelec(0.65)):
-            assert WeightingSpec.from_json(spec.to_json()) == spec
-        with pytest.raises(ValueError):
-            WeightingSpec.from_json({"kind": "tversky"})
-
 
 def spread_points(seed=29):
     """Interior points on both scales, plus points piled against 0 and 1."""
