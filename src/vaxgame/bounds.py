@@ -181,7 +181,7 @@ def ratio_sandwich(
     (1-c)/(1-w^{-1}(c)).  Points where a sandwich or a threshold clips at
     the maximum degree are flagged uninformative rather than failed; so are
     points where w^{-1}(c) rounds to 1, whose weighted bounds are infinite.
-    ``ladder`` shares the full-threshold solves with other calls on the
+    ``ladder`` shares its prefix sums and rung solves with other calls on the
     same epidemic; ValueError for a ladder built on another one.
     """
     _require_beta3_d0(ctx)

@@ -188,7 +188,7 @@ def load_scenario(path: str) -> Scenario:
         steps = _integer(cost.get("steps"), "cost.steps", least=2)
         if not 0.0 < start < stop < 1.0:
             raise ScenarioError("a cost sweep needs 0 < start < stop < 1")
-        costs = [float(c) for c in np.linspace(start, stop, steps)]
+        costs = [float(c) for c in _built("'cost.steps'", np.linspace, start, stop, steps)]
     else:
         costs = [] if cost is None else [_number(cost, "cost")]
     if any(not (0.0 < c < 1.0) for c in costs):

@@ -7,8 +7,12 @@ unprotected, all above vaccinate, the threshold degree possibly split),
 and the family of such candidate states is totally ordered.  The
 equilibrium condition reduces to placing K = delta*u/(1-u), u = w^{-1}(c),
 in a ladder of windows built from the endemic probabilities of
-full-threshold states.  The windows are ordered, so the solver bisects for
-the one holding K: exact and certifiable, not a fixed-point iteration.
+full-threshold states.  The windows are ordered, and whether K reaches a
+window edge is the sign of the rung's fixed-point equation at one point,
+a sum over the rung's degree prefix.  So the solver gallops and bisects
+over the rungs by sign tests and solves a rung's root only when the
+equilibrium is that full-threshold state: exact and certifiable, not a
+fixed-point iteration.
 """
 
 from __future__ import annotations
@@ -138,16 +142,39 @@ def compare_candidates(x1: CandidateState, x2: CandidateState) -> int:
 
 
 class ThresholdLadder:
-    """Endemic probabilities of full-threshold states, computed lazily.
+    """Full-threshold states of one epidemic: prefix sign tests and lazy rungs.
 
-    The ladder depends only on (distribution, delta); it is shared across
-    cost and weighting sweeps so each full-threshold fixed point is solved
-    once.  Concurrent fills are safe: entries are written idempotently.
+    Rung j is the state with every degree up to the j-th unprotected.  Its
+    endemic v_j is the root of g_j(y) = sum_{i<=j} coeff_i/(delta + d_i*y) - 1,
+    coeff = m*d^2/<d>, which falls strictly in y; so g_j(y) >= 0 says
+    v_j >= y, up to the root's tolerance, with no root solved.
+    ``first_endemic`` is the index of the lowest rung with
+    R > 1 + NEAR_CRITICAL_R, the degree count if none; R is
+    :func:`reproduction` of the rung's state, whose float sum does not
+    fall as terms join, so the endemic rungs are a suffix, found by
+    bisection, and every rung below it has v = 0.  Each root asked of
+    :meth:`v_at` is solved once.  The ladder depends only on
+    (distribution, delta) and is shared across cost and weighting sweeps.
+    Concurrent use is safe: entries are written idempotently.
     """
 
     def __init__(self, params: EpidemicParams):
         self.params = params
+        dist = params.distribution
+        self._d = dist.float_degrees
+        self._coeff = dist.mass * (self._d * self._d) / dist.mean_degree
+        self.first_endemic = bisect.bisect_left(range(dist.size), True, key=self._endemic)
         self._v = {}
+
+    def _endemic(self, index: int) -> bool:
+        dist = self.params.distribution
+        state = CandidateState(dist, dist.degrees[index])
+        return reproduction(self.params, state) > 1.0 + NEAR_CRITICAL_R
+
+    def g(self, index: int, y: float) -> float:
+        """g_j(y) of rung j = ``index``: its sign places y against v_j, over j + 1 degrees."""
+        k = index + 1
+        return float(np.add.reduce(self._coeff[:k] / (self.params.delta + self._d[:k] * y))) - 1.0
 
     def v_at(self, index: int) -> float:
         """Endemic v of the state with every degree up to ``index`` unprotected."""
@@ -256,15 +283,21 @@ def solve_pne(spec: GameSpec, ladder: ThresholdLadder | None = None) -> Equilibr
     is interior and v* = K/t, and boundary windows [t*v_t, succ(t)*v_t],
     where the full-threshold state itself is the equilibrium.  The windows
     tile the axis in degree order, with tops succ(t)*v_t growing in t past
-    the subcritical rungs (v_t = 0), so a bisection finds the first rung
-    whose top reaches K and solves only the rungs it probes.  The last
-    window is unbounded: with every rung subcritical, nobody vaccinates.
+    the subcritical rungs (v_t = 0).  The solver looks for the first rung
+    whose top reaches K.  A probe asks no root: K reaches the top exactly
+    when g_t((K - WINDOW_SLACK)/succ(t)) >= 0 (:meth:`ThresholdLadder.g`).
+    The probes gallop from the bottom rung (0, 2, 6, 14, ...) and then
+    bisect inside the last doubling, so none sums more than 2*j + 1 terms,
+    j the threshold's index.  K lies inside the interior window when
+    g_t((K + WINDOW_SLACK)/t) > 0; only a boundary equilibrium solves its
+    rung's root.  The last window is unbounded: with every rung
+    subcritical, nobody vaccinates.
 
     Parameters
     ----------
     spec : GameSpec
     ladder : ThresholdLadder, optional
-        Shared cache of full-threshold endemic solves for sweeps.
+        Shared prefix sums and rung roots for sweeps.
     """
     ladder = matching_ladder(spec.params, ladder)
 
@@ -274,6 +307,7 @@ def solve_pne(spec: GameSpec, ladder: ThresholdLadder | None = None) -> Equilibr
     dist = spec.distribution
     degrees = dist.degrees
     n = degrees.size
+    first = ladder.first_endemic
 
     def edges(j: int, v: float) -> tuple:
         # window edges (t_j*v, t_{j+1}*v), the top unbounded at the last degree
@@ -283,16 +317,19 @@ def solve_pne(spec: GameSpec, ladder: ThresholdLadder | None = None) -> Equilibr
         # K at or below rung j's window top; subcritical windows are empty
         if j + 1 == n:
             return True
-        v_j = ladder.v_at(j)
-        return v_j > 0.0 and K <= edges(j, v_j)[1] + WINDOW_SLACK
+        if j < first:
+            return False
+        y = (K - WINDOW_SLACK) / float(degrees[j + 1])
+        return y <= 0.0 or ladder.g(j, y) >= 0.0
 
-    j = bisect.bisect_left(range(n), True, key=reaches_k)
+    lo, hi = 0, 0
+    while not reaches_k(hi):
+        lo, hi = hi + 1, min(2 * hi + 2, n - 1)
+    j = lo + bisect.bisect_left(range(lo, hi), True, key=reaches_k)
     t = float(degrees[j])
-    v_t = ladder.v_at(j)
-    lower, upper = edges(j, v_t)
-    if K < lower - WINDOW_SLACK:
-        # interior at t; the previous window's upper edge guarantees K/t
-        # exceeds the previous full-threshold v
+    if j >= first and ladder.g(j, (K + WINDOW_SLACK) / t) > 0.0:
+        # interior at t: K below the lower edge t*v_t; the previous
+        # window's upper edge guarantees K/t exceeds the previous rung's v
         v = K / t
         f = _interior_fraction(spec, j, v)
         m_t = float(dist.mass[j])
@@ -306,7 +343,9 @@ def solve_pne(spec: GameSpec, ladder: ThresholdLadder | None = None) -> Equilibr
         interior, tie = True, False
     else:
         cand = CandidateState(dist, int(t))
-        v, window, interior = v_t, (lower, upper), False
+        v = ladder.v_at(j)
+        lower, upper = window = edges(j, v)
+        interior = False
         tie = abs(K - lower) <= WINDOW_SLACK or (
             math.isfinite(upper) and abs(K - upper) <= WINDOW_SLACK
         )

@@ -543,6 +543,8 @@ class TestErrorExit:
         "path, value, message",
         [
             (("cost", "start"), "0.1", "cost"),  # ran with start 0.1 before
+            # numpy's ValueError "Maximum allowed size exceeded" before
+            (("cost", "steps"), 10**30, "'cost.steps'"),
             (("weightings", 0, "alpha"), "0.5", "alpha"),
             (("weightings", 0, "alpha"), True, "alpha"),  # ran with alpha = 1 before
             (("distribution", "mass"), [1.0], "distribution"),  # AttributeError before
@@ -559,6 +561,7 @@ class TestErrorExit:
         ],
         ids=[
             "start-string",
+            "steps-oversized",
             "alpha-string",
             "alpha-true",
             "mass-list",

@@ -249,12 +249,15 @@ def test_a_child_error_larger_than_a_pipe_comes_back_whole(monkeypatch):
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="no setitimer")
 def test_a_large_convergence_error_exits_as_on_one_cpu(tmp_path, monkeypatch, capsys):
     # d_max = 20,000: the error pickles its best state, 20,000 floats of it,
-    # more than a pipe holds; the cost split hung on two CPUs before
+    # more than a pipe holds; the cost split hung on two CPUs before.  With
+    # prelec(0.05), w^{-1}(c) rounds to 1 at these costs, so the equilibrium
+    # is the top rung, whose 20,000-wide root solve fails at delta = 1e-70
     scenario = tmp_path / "scenario.json"
     obj = {
         "distribution": {"type": "powerlaw", "d_min": 1, "d_max": 20000, "beta": 3},
         "delta": 1e-70,
-        "cost": {"start": 0.1, "stop": 0.9, "steps": 4},
+        "weightings": [{"kind": "prelec", "alpha": 0.05}],
+        "cost": {"start": 0.9, "stop": 0.95, "steps": 4},
     }
     scenario.write_text(json.dumps(obj), encoding="utf-8")
     with deadline(60):

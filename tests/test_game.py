@@ -27,6 +27,7 @@ from vaxgame import (
     weight,
     weight_inverse,
 )
+from vaxgame import cli
 from vaxgame.cli import cmd_pne, load_scenario
 from vaxgame.dbmf import ROOT_TOL
 from vaxgame.game import CERT_TOL
@@ -441,7 +442,7 @@ class TestSolvePne:
                 assert verify_pne(spec, res.state).passed, (w.label, c)
                 assert res.state.threshold >= prev, (w.label, c)
                 prev = res.state.threshold
-        # bisection probes a few rungs per solve; a walk up to each
+        # only a boundary equilibrium asks for its rung; a walk up to each
         # threshold would ask for every rung below the largest one
         assert len(ladder.asked) < 200
 
@@ -612,6 +613,55 @@ class TestRootWorkBudget:
         n = loaded.distribution.size
         assert len(rows) == 273 and n == 4999
         assert sum(widths) <= 0.1 * len(widths) * n, sum(widths) / (len(widths) * n)
+
+
+    def test_pne_sweep_placement_budget(self, monkeypatch, tmp_path):
+        # the bench sweep's shape on one CPU: each (cost, weighting) solves at
+        # most two roots, its certificate and at most one boundary rung, and
+        # no sign test sums more than 2*j + 1 terms, j the threshold's index
+        set_cpus(monkeypatch, 1)
+        scenario = tmp_path / "sweep.json"
+        scenario.write_text(
+            json.dumps(
+                {
+                    "distribution": {"type": "powerlaw", "d_min": 2, "d_max": 5000, "beta": 3.0},
+                    "delta": 2.0,
+                    "weightings": [
+                        {"kind": "identity"},
+                        {"kind": "prelec", "alpha": 0.75},
+                        {"kind": "prelec", "alpha": 0.5},
+                    ],
+                    "cost": {"start": 0.05, "stop": 0.95, "steps": 91},
+                }
+            )
+        )
+        loaded = load_scenario(str(scenario))
+        dist = loaded.distribution
+        widths = record_root_widths(monkeypatch)
+        probes, solves, starts = [], [], []
+        g, solve = ThresholdLadder.g, cli.solve_pne
+
+        def probed(self, index, y):
+            probes.append(index + 1)
+            return g(self, index, y)
+
+        def solved(spec, ladder=None):
+            # a solve's roots and its certificate's follow its start
+            starts.append(len(widths))
+            probes.clear()
+            res = solve(spec, ladder=ladder)
+            solves.append((dist.index_of(res.state.threshold), max(probes, default=0)))
+            return res
+
+        monkeypatch.setattr(ThresholdLadder, "g", probed)
+        monkeypatch.setattr(cli, "solve_pne", solved)
+        _, rows = cmd_pne(loaded)
+        assert len(rows) == len(solves) == 273
+        assert starts[0] == 0
+        assert max(np.diff(starts + [len(widths)])) <= 2
+        assert all(widest <= 2 * j + 1 for j, widest in solves), solves
+        # the sweep climbs the ladder: thresholds well past the bottom rungs
+        assert max(j for j, _ in solves) > 100
 
 
 class TestTrueVsWeighted:
