@@ -10,10 +10,8 @@ approaches one, where the ratio of distorted to true thresholds tracks
 import numpy as np
 
 from vaxgame import (
-    EpidemicParams,
     GameSpec,
     PowerLawBoundContext,
-    ThresholdLadder,
     endemic_odds,
     identity,
     odds_lower_bound,
@@ -38,11 +36,10 @@ def main():
         print(f"{t:>4} {lo:9.5f} {odds:9.5f} {hi:9.5f}")
 
     print("\nequilibrium threshold under its cost-dependent cap:")
-    params = EpidemicParams(2.0, dist)
-    ladder = ThresholdLadder(params)
     print(f"{'c':>5} {'threshold':>10} {'cap':>8}")
     for c in np.linspace(0.1, 0.9, 9):
-        res = solve_pne(GameSpec(params, identity(), float(c)), ladder=ladder)
+        # the context's epidemic and ladder, whose rungs the odds above read
+        res = solve_pne(GameSpec(ctx.params, identity(), float(c)), ladder=ctx.ladder)
         cap = threshold_upper_bound(ctx, identity(), float(c))
         assert res.state.threshold <= cap
         print(f"{c:5.2f} {res.state.threshold:>10} {cap:8.1f}")

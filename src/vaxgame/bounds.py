@@ -6,18 +6,21 @@ states, an upper bound on the equilibrium threshold as a function of the
 vaccination cost, and, for exponent three, a two-sided sandwich that pins
 the growth rate of the threshold as the cost approaches one.  Everything
 is evaluated with the finite-sum normalization constant stored on the
-distribution, never an infinite-series approximation.
+distribution, never an infinite-series approximation.  Full-threshold
+states are rungs of the solver's :class:`ThresholdLadder`, one per context.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from .dbmf import EpidemicParams, endemic_state, reproduction
+# bench/tracing.py patches endemic_state by this name, so it stays
+# though this module no longer calls it
+from .dbmf import EpidemicParams, endemic_state  # noqa: F401
 from .degree import DegreeDistribution
-# bench/tracing.py patches bounds.ThresholdLadder, so the import stays
-from .game import CandidateState, GameSpec, ThresholdLadder, matching_ladder, solve_pne
+from .game import GameSpec, ThresholdLadder, solve_pne
 from .weighting import WeightingSpec, identity, prelec, weight_inverse
 
 __all__ = [
@@ -31,34 +34,39 @@ __all__ = [
     "ratio_sandwich",
 ]
 
-# Operational reading of "threshold large enough for an endemic state".
-VALID_T_MARGIN = 1e-9
-
 
 @dataclass(frozen=True)
 class PowerLawBoundContext:
     """Power-law instance data shared by the bound evaluators.
 
     Requires a distribution with stored power-law normalization; ``b1`` is
-    exp(delta*<d>/kappa) > 1, the constant appearing in every bound.
+    exp(delta*<d>/kappa) > 1, the constant appearing in every bound.  Its one
+    epidemic ``params`` refuses a curing rate not positive and finite; its one
+    ``ladder``, built on first use, holds the rungs every bound reads.
     """
 
-    distribution: DegreeDistribution
-    delta: float
+    params: EpidemicParams
     b1: float
 
     @classmethod
     def create(cls, distribution: DegreeDistribution, delta: float) -> "PowerLawBoundContext":
         if distribution.normalization is None:
             raise ValueError("bound evaluation needs a power-law-constructed distribution")
-        if delta <= 0:
-            raise ValueError("curing rate must be positive")
-        b1 = math.exp(delta * distribution.mean_degree / distribution.normalization)
-        return cls(distribution, float(delta), b1)
+        params = EpidemicParams(float(delta), distribution)
+        b1 = math.exp(params.delta * distribution.mean_degree / distribution.normalization)
+        return cls(params, b1)
+
+    @functools.cached_property
+    def ladder(self) -> ThresholdLadder:
+        return ThresholdLadder(self.params)
 
     @property
-    def params(self) -> EpidemicParams:
-        return EpidemicParams(self.delta, self.distribution)
+    def distribution(self) -> DegreeDistribution:
+        return self.params.distribution
+
+    @property
+    def delta(self) -> float:
+        return self.params.delta
 
     @property
     def beta(self) -> float:
@@ -81,20 +89,20 @@ def _require_beta3_d0(ctx: PowerLawBoundContext):
         raise ValueError("bound requires minimum degree larger than 1")
 
 
-def _require_endemic(ctx: PowerLawBoundContext, t: int) -> CandidateState:
-    """The full-threshold state at ``t``; KeyError for a ``t`` outside the
-    degrees, ValueError unless the state is endemic."""
-    state = CandidateState(ctx.distribution, t)
-    if reproduction(ctx.params, state) <= 1.0 + VALID_T_MARGIN:
+def _require_endemic(ctx: PowerLawBoundContext, t: int) -> int:
+    """The index of ``t``; KeyError for a ``t`` outside the degrees,
+    ValueError unless its rung of ``ctx.ladder`` is endemic (v > 0)."""
+    index = ctx.distribution.index_of(t)
+    if index < ctx.ladder.first_endemic:
         raise ValueError(f"threshold {t} not large enough for an endemic state")
-    return state
+    return index
 
 
 def endemic_odds(ctx: PowerLawBoundContext, t: int) -> float:
-    """Infection odds t*v/(delta + t*v) of the threshold degree at the
-    full-threshold state; the quantity the analytic bounds bracket."""
-    state = _require_endemic(ctx, t)
-    return float(endemic_state(ctx.params, state).p[ctx.distribution.index_of(t)])
+    """Infection odds t*v/(delta + t*v) of the threshold degree at the full-threshold
+    state, v its rung's root in ``ctx.ladder``; the quantity the analytic bounds bracket."""
+    tv = float(t) * ctx.ladder.v_at(_require_endemic(ctx, t))
+    return tv / (ctx.delta + tv)
 
 
 def odds_lower_bound(ctx: PowerLawBoundContext, t: int) -> float:
@@ -171,9 +179,7 @@ class RatioSandwichReport:
         return all(p.true_within and p.weighted_within for p in self.points if not p.uninformative)
 
 
-def ratio_sandwich(
-    ctx: PowerLawBoundContext, alpha: float, costs, ladder: ThresholdLadder | None = None
-) -> RatioSandwichReport:
+def ratio_sandwich(ctx: PowerLawBoundContext, alpha: float, costs) -> RatioSandwichReport:
     """Equilibrium thresholds against the proof sandwich over a cost grid.
 
     For exponent-3 networks with minimum degree above 1, both equilibrium
@@ -181,12 +187,10 @@ def ratio_sandwich(
     (1-c)/(1-w^{-1}(c)).  Points where a sandwich or a threshold clips at
     the maximum degree are flagged uninformative rather than failed; so are
     points where w^{-1}(c) rounds to 1, whose weighted bounds are infinite.
-    ``ladder`` shares its prefix sums and rung solves with other calls on the
-    same epidemic; ValueError for a ladder built on another one.
+    Both games solve on ``ctx.ladder``, so calls on one context share its
+    prefix sums and rung roots.
     """
     _require_beta3_d0(ctx)
-    params = ctx.params
-    ladder = matching_ladder(params, ladder)
     w_spec = prelec(alpha)
     id_spec = identity()
     d0 = ctx.d0
@@ -195,8 +199,8 @@ def ratio_sandwich(
 
     points = []
     for c in costs:
-        res_t = solve_pne(GameSpec(params, id_spec, float(c)), ladder=ladder)
-        res_w = solve_pne(GameSpec(params, w_spec, float(c)), ladder=ladder)
+        res_t = solve_pne(GameSpec(ctx.params, id_spec, float(c)), ladder=ctx.ladder)
+        res_w = solve_pne(GameSpec(ctx.params, w_spec, float(c)), ladder=ctx.ladder)
         d_t = res_t.state.threshold
         d_w = res_w.state.threshold
         u = weight_inverse(w_spec, float(c))

@@ -240,12 +240,20 @@ def _certified_equilibria(scenario: Scenario, params: EpidemicParams, ladder: Th
         yield ("identity" if w.kind == "identity" else _fmt(float(w.alpha))), res
 
 
+def _sweep(scenario: Scenario, solve_cost) -> list:
+    """The row lists ``solve_cost(i)`` gives for every cost index ``i``, joined
+    in cost order; :func:`vaxgame.forking.interleave` runs the costs."""
+    # imported on first use, as csvtext is, so importing the package does not compile it
+    from .forking import interleave
+
+    return [row for rows in interleave(solve_cost, len(scenario.costs)) for row in rows]
+
+
 def cmd_pne(scenario: Scenario) -> tuple[list, list]:
     """Equilibrium table rows for every (cost, weighting) pair.
 
     One row per certified equilibrium of :func:`_certified_equilibria`,
-    run over the costs by :func:`vaxgame.forking.interleave`, the odd ones
-    in a forked child where a second process may run.  Each process fills
+    run over the costs by :func:`_sweep`.  Each process fills
     its own ladder; a rung is a function of its index alone, so the rows
     are the same bytes either way, and so is the exception of the first
     failing cost.
@@ -262,10 +270,7 @@ def cmd_pne(scenario: Scenario) -> tuple[list, list]:
             for alpha, res in _certified_equilibria(scenario, params, ladder, c)
         ]
 
-    # imported on first use, as csvtext is, so importing the package does not compile it
-    from .forking import interleave
-
-    return header, [row for rows in interleave(solve_cost, len(scenario.costs)) for row in rows]
+    return header, _sweep(scenario, solve_cost)
 
 
 def cmd_social_opt(scenario: Scenario) -> tuple[list, list]:
@@ -275,7 +280,7 @@ def cmd_social_opt(scenario: Scenario) -> tuple[list, list]:
     ``pne_social_cost`` is ``solve pne``'s ``social_cost`` and a failed
     certificate exits as ``solve pne`` does.  Each cost solves its
     equilibria, then the planner's optimum, run over the costs by
-    :func:`vaxgame.forking.interleave`.  Each process keeps its own ladder
+    :func:`_sweep`.  Each process keeps its own ladder
     and its own :class:`SocialOptimumSolver` table; every answer depends
     on its cost alone, so the rows are the same bytes either way.
     """
@@ -314,17 +319,15 @@ def cmd_social_opt(scenario: Scenario) -> tuple[list, list]:
             for alpha, res in equilibria
         ]
 
-    from .forking import interleave
-
-    return header, [row for rows in interleave(solve_cost, len(scenario.costs)) for row in rows]
+    return header, _sweep(scenario, solve_cost)
 
 
 def cmd_bounds(scenario: Scenario) -> tuple[list, list]:
     """Threshold-sandwich table over the cost grid.
 
     One :func:`ratio_sandwich` point per cost, run over the costs by
-    :func:`vaxgame.forking.interleave` as :func:`cmd_pne` runs its costs,
-    with one ladder for each process.
+    :func:`_sweep` as :func:`cmd_pne` runs its costs, on the context's
+    one ladder.
     """
     _require_costs(scenario)
     alpha = scenario.options.get("bounds", {}).get("alpha")
@@ -336,40 +339,29 @@ def cmd_bounds(scenario: Scenario) -> tuple[list, list]:
     else:
         alpha = _built("'bounds.alpha'", prelec, _number(alpha, "bounds.alpha")).alpha
     ctx = _built("bounds scenario", PowerLawBoundContext.create, scenario.distribution, scenario.delta)
-    # ratio_sandwich's own check, made once here rather than in each process
+    # ratio_sandwich checks on every call; checked here so a refusal comes before any fork
     _built("bounds scenario", _require_beta3_d0, ctx)
-    ladder = ThresholdLadder(ctx.params)
-    header = [
-        "c",
-        "d_t",
-        "d_w",
-        "lower_t",
-        "upper_t",
-        "lower_w",
-        "upper_w",
-        "ratio",
-        "theta_proxy",
-        "uninformative",
-    ]
+    ctx.ladder  # built here, so a forked child inherits its first_endemic
+    header = ["c", "d_t", "d_w", "lower_t", "upper_t", "lower_w", "upper_w", "ratio", "theta_proxy", "uninformative"]
 
     def solve_cost(i: int) -> list:
-        (p,) = ratio_sandwich(ctx, alpha, scenario.costs[i : i + 1], ladder=ladder).points
         return [
-            p.cost,
-            p.d_true,
-            p.d_weighted,
-            p.true_lo,
-            p.true_hi,
-            p.weighted_lo,
-            p.weighted_hi,
-            p.ratio,
-            p.theta_proxy,
-            int(p.uninformative),
+            [
+                p.cost,
+                p.d_true,
+                p.d_weighted,
+                p.true_lo,
+                p.true_hi,
+                p.weighted_lo,
+                p.weighted_hi,
+                p.ratio,
+                p.theta_proxy,
+                int(p.uninformative),
+            ]
+            for p in ratio_sandwich(ctx, alpha, scenario.costs[i : i + 1]).points
         ]
 
-    from .forking import interleave
-
-    return header, interleave(solve_cost, len(scenario.costs))
+    return header, _sweep(scenario, solve_cost)
 
 
 def cmd_dynamics(scenario: Scenario, out, fmt: str):
@@ -514,7 +506,7 @@ class _TableSink:
     """Block sink that formats float rows straight into ``out`` as CSV or JSON.
 
     In CSV :func:`csvtext.csv_rows` writes each value as the bytes "%.17g"
-    gives, those of :func:`_fmt`, a few rows at a time.  In JSON each block
+    gives, those of :func:`_fmt`, one block at a time.  In JSON each block
     is one %-format: each row's template holds the keys encoded by
     :func:`json.dumps` and a ``%r`` per value, which is json's own float
     repr for finite floats, so the bytes are those of
@@ -547,9 +539,7 @@ class _TableSink:
         self.out.write(self.lead)
         self.lead = self.separator
         if self.csv is not None:
-            step = self.csv.SLICE_ROWS
-            for start in range(0, len(block), step):
-                self.out.write(self.csv.csv_rows(block[start : start + step]))
+            self.out.write(self.csv.csv_rows(block))
         else:
             self.out.write(self.separator.join([self.row_format] * len(block)) % tuple(block.ravel().tolist()))
 

@@ -23,11 +23,8 @@ import functools
 
 import numpy as np
 
-__all__ = ["SLICE_ROWS", "csv_rows"]
+__all__ = ["csv_rows"]
 
-# Callers format this many rows per call, so the temporaries stay small and
-# of one size whatever the values are.
-SLICE_ROWS = 16
 # Dekker's splitting constant for doubles
 _SPLIT = 2.0**27 + 1
 # the zero count z of x is 3 less the number of these at or below x

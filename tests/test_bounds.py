@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from vaxgame import (
+    CandidateState,
     EpidemicParams,
     GameSpec,
     PowerLawBoundContext,
     ThresholdLadder,
     endemic_odds,
+    endemic_state,
     explicit,
     identity,
     odds_lower_bound,
@@ -18,6 +20,7 @@ from vaxgame import (
     power_law,
     prelec,
     ratio_sandwich,
+    reproduction,
     solve_pne,
     threshold_upper_bound,
 )
@@ -46,6 +49,93 @@ class TestContext:
     def test_requires_power_law_provenance(self):
         with pytest.raises(ValueError):
             PowerLawBoundContext.create(explicit({2: 0.5, 3: 0.5}), 1.0)
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
+    def test_refuses_a_curing_rate_not_positive_and_finite(self, delta):
+        with pytest.raises(ValueError):
+            PowerLawBoundContext.create(power_law(1, 100, 3.0), delta)
+
+    def test_one_epidemic_and_one_ladder(self):
+        ctx = sweep_ctx()
+        assert ctx.params is ctx.params
+        assert ctx.ladder is ctx.ladder
+        assert ctx.ladder.params is ctx.params
+        assert (ctx.distribution, ctx.delta) == (ctx.params.distribution, 2.0)
+
+
+# The instances on which the acceptance suite checks the odds bounds.
+ODDS_INSTANCES = [
+    (power_law(2, 200, 2.0), 1.0),
+    (power_law(1, 150, 2.5), 1.5),
+    (power_law(1, 100, 3.0), 2.0),
+    (power_law(2, 100, 3.0), 2.0),
+    (power_law(3, 150, 3.0), 1.5),
+]
+
+
+def rung_v(params, t):
+    """Endemic v of the full-threshold state at ``t``, solved apart from any ladder."""
+    return endemic_state(params, CandidateState(params.distribution, int(t))).v
+
+
+class TestEndemicRungs:
+    def near_critical_ctx(self):
+        # delta puts the threshold-20 rung at R - 1 = 1e-10: endemic for the
+        # solver's rule, R > 1 + 1e-12, with a tiny positive v
+        dist = power_law(2, 100, 3.0)
+        d = dist.float_degrees[: dist.index_of(20) + 1]
+        r_times_delta = float(np.sum(dist.mass[: d.size] * d * d)) / dist.mean_degree
+        return PowerLawBoundContext.create(dist, r_times_delta / (1.0 + 1e-10))
+
+    def test_near_critical_rung_is_accepted_exactly_when_its_v_is_positive(self):
+        ctx = self.near_critical_ctx()
+        dist = ctx.distribution
+        r = reproduction(ctx.params, CandidateState(dist, 20))
+        assert 1e-12 < r - 1.0 <= 1e-9
+        assert rung_v(ctx.params, 20) > 0.0
+        for t in dist.degrees[1:]:
+            t = int(t)
+            endemic = rung_v(ctx.params, t) > 0.0
+            for bound in (odds_lower_bound, odds_upper_bound):
+                try:
+                    bound(ctx, t)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted == endemic, (bound.__name__, t)
+        assert odds_lower_bound(ctx, 20) <= endemic_odds(ctx, 20) <= odds_upper_bound(ctx, 20)
+
+    def test_outside_the_degrees_is_a_key_error(self):
+        with pytest.raises(KeyError):
+            endemic_odds(sweep_ctx(), 101)
+
+    @pytest.mark.parametrize("dist, delta", ODDS_INSTANCES, ids=str)
+    def test_odds_are_the_endemic_state_bits(self, dist, delta):
+        ctx = PowerLawBoundContext.create(dist, delta)
+        checked = 0
+        for i, t in enumerate(dist.degrees):
+            endemic = endemic_state(ctx.params, CandidateState(dist, int(t)))
+            if endemic.v > 0.0:
+                assert endemic_odds(ctx, int(t)).hex() == float(endemic.p[i]).hex()
+                checked += 1
+        assert checked > 0
+
+    def test_one_ladder_per_context(self, monkeypatch):
+        built = 0
+        init = ThresholdLadder.__init__
+
+        def counted(self, params):
+            nonlocal built
+            built += 1
+            init(self, params)
+
+        monkeypatch.setattr(ThresholdLadder, "__init__", counted)
+        ctx = PowerLawBoundContext.create(power_law(2, 500, 3.0), 2.0)
+        for costs in ([0.8], [0.9], [0.5, 0.95]):
+            ratio_sandwich(ctx, 0.75, costs)
+        for t in (100, 300, 500):
+            endemic_odds(ctx, t)
+        assert built == 1
 
 
 class TestOddsLowerBound:
