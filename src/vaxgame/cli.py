@@ -77,6 +77,9 @@ KEYS = {
     "dynamics.state": {"threshold", "fraction"},
     "bounds": {"alpha"},
 }
+# Most costs a sweep may ask for, checked before they are made: 8 MB of
+# floats, far beyond any useful sweep.
+MAX_COST_STEPS = 10**6
 
 
 def _reject_unknown_keys(name: str, obj: dict):
@@ -111,13 +114,15 @@ def _number(value, key: str, positive: bool = False) -> float:
     return value
 
 
-def _integer(value, key: str, least=None) -> int:
-    """``value`` for a JSON int that a float can hold, and at least ``least`` if given."""
+def _integer(value, key: str, least=None, most=None) -> int:
+    """``value`` for a JSON int that a float can hold, at least ``least`` and at most ``most`` if given."""
     if type(value) is not int:
         raise ScenarioError(f"'{key}' must be an integer")
     _number(value, key)
     if least is not None and value < least:
         raise ScenarioError(f"'{key}' must be an integer of at least {least}")
+    if most is not None and value > most:
+        raise ScenarioError(f"'{key}' must be an integer of at most {most:,}")
     return value
 
 
@@ -185,10 +190,10 @@ def load_scenario(path: str) -> Scenario:
     if isinstance(cost, dict):
         _reject_unknown_keys("cost", cost)
         start, stop = _number(cost.get("start"), "cost.start"), _number(cost.get("stop"), "cost.stop")
-        steps = _integer(cost.get("steps"), "cost.steps", least=2)
+        steps = _integer(cost.get("steps"), "cost.steps", least=2, most=MAX_COST_STEPS)
         if not 0.0 < start < stop < 1.0:
             raise ScenarioError("a cost sweep needs 0 < start < stop < 1")
-        costs = [float(c) for c in _built("'cost.steps'", np.linspace, start, stop, steps)]
+        costs = np.linspace(start, stop, steps).tolist()
     else:
         costs = [] if cost is None else [_number(cost, "cost")]
     if any(not (0.0 < c < 1.0) for c in costs):

@@ -312,26 +312,66 @@ class Trajectory:
         return self.table[-1, 1:]
 
 
-def _ode_rhs(delta, d, q_hat, p):
-    """p' = (1 - p)*d*theta - delta*p with theta = q_hat.p, as d*theta - p*(delta + d*theta)."""
-    d_theta = d * np.add.reduce(q_hat * p)
-    return d_theta - p * (delta + d_theta)
+def _ode_rhs(delta, d, q_hat, p, out, work, theta):
+    """out = p' = (1 - p)*d*theta - delta*p with theta = q_hat.p, as d*theta - p*(delta + d*theta).
+
+    ``delta`` holds the curing rate once per degree; ``work`` and the 0-d
+    ``theta`` are scratch.  theta is numpy's pairwise ``np.add.reduce``, not
+    a BLAS product.
+    """
+    mul = np.multiply
+    np.add.reduce(mul(q_hat, p, work), 0, None, theta)
+    mul(d, theta, out)
+    mul(p, np.add(delta, out, work), work)
+    return np.subtract(out, work, out)
 
 
-def _rk4_step(delta, d, q_hat, p, dt):
-    """One classical RK4 step of the mean-field ODE."""
-    k1 = _ode_rhs(delta, d, q_hat, p)
-    k2 = _ode_rhs(delta, d, q_hat, p + 0.5 * dt * k1)
-    k3 = _ode_rhs(delta, d, q_hat, p + 0.5 * dt * k2)
-    k4 = _ode_rhs(delta, d, q_hat, p + dt * k3)
-    return p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+class _RK4:
+    """Classical RK4 steps of the mean-field ODE at a fixed ``dt``, in buffers built once.
+
+    A step from p runs the IEEE operations of stage inputs ``p + (0.5*dt)*k``
+    and ``p + dt*k3`` and of the update
+    ``p + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4)``, in that order, so it gives
+    the bits of the allocating formula.  Each constant is an array of one
+    value per degree, so no call converts a Python float.  k1 becomes the
+    running sum, to which 2*k2 and 2*k3 are added as they come, so k2, k3
+    and k4 share one buffer.  ``_ode_rhs`` is looked up as a module global
+    four times a step, where a tracer can count the stages.
+    """
+
+    def __init__(self, delta, d, q_hat, dt):
+        n = d.size
+        self.rhs_args = (np.full(n, delta), d, q_hat)
+        self.half_dt, self.dt, self.sixth_dt, self.two = (np.full(n, c) for c in (0.5 * dt, dt, dt / 6.0, 2.0))
+        self.buffers = (np.empty(n), np.empty(n), np.empty(n), np.empty(n), np.empty(()))
+
+    def step(self, p, out):
+        """Write the step from ``p`` into ``out``, which is neither ``p`` nor the kernel's; returns ``out``."""
+        add, mul = np.add, np.multiply
+        delta, d, q_hat = self.rhs_args
+        total, k, stage, work, theta = self.buffers
+        half_dt, two = self.half_dt, self.two
+        _ode_rhs(delta, d, q_hat, p, total, work, theta)
+        add(p, mul(half_dt, total, stage), stage)
+        _ode_rhs(delta, d, q_hat, stage, k, work, theta)
+        add(p, mul(half_dt, k, stage), stage)
+        add(total, mul(two, k, k), total)
+        _ode_rhs(delta, d, q_hat, stage, k, work, theta)
+        add(p, mul(self.dt, k, stage), stage)
+        add(total, mul(two, k, k), total)
+        _ode_rhs(delta, d, q_hat, stage, k, work, theta)
+        add(total, k, total)
+        return add(p, mul(self.sixth_dt, total, total), out)
 
 
 def _require_unit_interval(p: np.ndarray, t: float):
-    """Raise :class:`IntegrationError` unless p is finite and in [0, 1] up to roundoff."""
-    # two reductions, no temporaries; a NaN makes min or max NaN, which fails
-    if not (p.min() >= -1e-9 and p.max() <= 1.0 + 1e-9):
+    """Raise :class:`IntegrationError` unless p is finite and in [0, 1] up to roundoff; then clip p in place."""
+    low, high = np.minimum.reduce(p), np.maximum.reduce(p)
+    # a NaN makes low or high NaN, which fails
+    if not (low >= -1e-9 and high <= 1.0 + 1e-9):
         raise IntegrationError(f"iterate left [0, 1] at t={t:g}; reduce dt")
+    if low < 0.0 or high > 1.0:
+        np.clip(p, 0.0, 1.0, out=p)
 
 
 def _require_finite_positive(**values):
@@ -374,12 +414,15 @@ def integrate_dbmf(
     the trajectory is returned.  With one, they fill one reused
     ``(BLOCK_ROWS, 1 + n)`` buffer, each full block and then the last,
     partial or full, goes to ``sink(block)``, and None is returned.  A
-    block shares that buffer's memory and is valid only during the call.  A
-    ``sample_stride`` that is not an integer of at least 1, a ``p0`` that
-    is neither a number nor one value per degree, or a table of more than
-    ``MAX_TABLE_BYTES``, streamed or not, raises ValueError before any
-    step.  Iterates leaving [0, 1] beyond roundoff, or not finite, raise
-    :class:`IntegrationError`.
+    block shares that buffer's memory and is valid only during the call.
+    The sink must not write to it: a sampled step is computed straight
+    into its row, so the state the next step starts from may be the
+    block's last row.  A ``sample_stride`` that is not an integer of at
+    least 1, a ``p0`` that is neither a number nor one value per degree,
+    or a table of more than ``MAX_TABLE_BYTES``, streamed or not, which
+    includes a ``t_end/dt`` past the float range, raises ValueError before
+    any step.  Iterates leaving [0, 1] beyond roundoff, or not finite,
+    raise :class:`IntegrationError`.
     """
     _require_same_support(params, state)
     d = params.distribution.float_degrees
@@ -395,44 +438,70 @@ def integrate_dbmf(
     if stride < 1:
         raise ValueError("sample_stride must be an integer of at least 1")
     p = _initial_probabilities(params, p0)
-    steps = max(1, int(round(t_end / dt)))
+    cap = f"over the {MAX_TABLE_BYTES / 2**30:g} GiB cap"
+    ratio = float(t_end) / float(dt)  # Python floats: inf on overflow, with no numpy warning
+    if ratio == np.inf:
+        raise TableSizeError(f"trajectory of t_end/dt = {t_end:g}/{dt:g} steps, past the float range, is {cap}")
+    steps = max(1, int(round(ratio)))
 
     rows = steps // stride + (steps % stride != 0) + 1
     size = rows * (1 + p.size) * 8
     if size > MAX_TABLE_BYTES:
         message = f"trajectory table of {rows:,} x {1 + p.size:,} floats needs {size / 2**30:.1f} GiB"
-        raise TableSizeError(f"{message}, over the {MAX_TABLE_BYTES / 2**30:g} GiB cap; raise sample_stride")
+        raise TableSizeError(f"{message}, {cap}; raise sample_stride")
     # without a sink the buffer is the whole table and never fills early
     buffer = np.empty((rows if sink is None else min(rows, BLOCK_ROWS), 1 + p.size))
     buffer[0, 0], buffer[0, 1:] = 0.0, p
+    rk4 = _RK4(delta, d, q_hat, dt)
+    # the steps between samples alternate between two arrays
+    first, second = p, np.empty_like(p)
     row = 1
     for k in range(1, steps + 1):
-        p = _rk4_step(delta, d, q_hat, p, dt)
-        # before the clip, which would hide an unstable step
-        _require_unit_interval(p, k * dt)
-        np.clip(p, 0.0, 1.0, out=p)
-        if k % stride == 0 or k == steps:
+        sampled = k % stride == 0 or k == steps
+        if not sampled:
+            out = second if p is first else first
+        else:
             if row == len(buffer):
                 sink(buffer)
                 row = 0
-            buffer[row, 0], buffer[row, 1:] = k * dt, p
+            buffer[row, 0] = k * dt
+            out = buffer[row, 1:]
             row += 1
+        p = rk4.step(p, out)
+        _require_unit_interval(p, k * dt)
     if sink is None:
         return Trajectory(buffer, params.distribution.degrees)
     sink(buffer[:row])
     return None
 
 
+def _with_off_support(params: EpidemicParams, support: np.ndarray, q_hat: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """p over every degree: ``p`` on the support, ``d*theta/(delta + d*theta)`` off it, with theta = q_hat.p."""
+    full = _probabilities(params, np.add.reduce(q_hat * p))
+    full[support] = p
+    return full
+
+
 def settle_dbmf(params: EpidemicParams, state: SocialState, p0=0.5, dt: float | None = None) -> np.ndarray:
     """Run the ODE until successive unit-time samples differ by < SETTLE_TOL.
 
-    The default step is scaled to the ODE's stiffness,
-    ``dt = STABLE_STEP/(delta + d_max*s)`` with ``s = sum(q_hat) <= 1`` the
-    unprotected share of edge ends.  The Jacobian
-    ``-diag(delta + d*v) + ((1-p)*d) q_hat^T`` is similar, by a diagonal
+    Only the unprotected support S = {d : x_d > 0} is stepped.  q_hat is
+    zero off S, so theta = q_hat.p, and with it the ODE restricted to S,
+    does not depend on the other degrees; at each sample every one of
+    those is rebuilt from theta as its fixed point
+    ``d*theta/(delta + d*theta)``, and the samples compared are these full
+    rows.  The entries of ``p0`` off S are ignored.  With S empty, everyone
+    vaccinated, the result is all zeros and nothing is stepped.  A state
+    with unprotected mass at every degree steps every column, and its
+    result has the bits of a settle that knows nothing of S.
+
+    The default step is scaled to the ODE's stiffness on S,
+    ``dt = STABLE_STEP/(delta + max(S)*s)`` with ``s = sum(q_hat) <= 1`` the
+    unprotected share of edge ends.  The Jacobian on S,
+    ``-diag(delta + d*v) + ((1-p)*d) q_hat^T``, is similar, by a diagonal
     scaling, to a symmetric matrix, so its eigenvalues are real; they lie
-    in ``[-(delta + d_max*s), d_max*s]`` because ``v <= s`` and
-    ``sum d^2 x/<d> <= d_max*s``.  Hence ``z = dt*lambda >= -1.5``.  On
+    in ``[-(delta + max(S)*s), max(S)*s]`` because ``v <= s`` and
+    ``sum d^2 x/<d> <= max(S)*s``.  Hence ``z = dt*lambda >= -1.5``.  On
     ``[-1.596, 0]`` RK4's stability polynomial
     ``1 + z + z^2/2 + z^3/6 + z^4/24`` is positive and increasing, so a
     faster mode is damped at least as much as a slower one and no mode
@@ -440,38 +509,43 @@ def settle_dbmf(params: EpidemicParams, state: SocialState, p0=0.5, dt: float | 
     slow one; the fast modes (the ``-delta`` eigenvectors orthogonal to
     ``q_hat``) have mixed signs, so p goes negative, as seen on
     delta-dominated decaying states from about ``dt = 2.06/(delta +
-    d_max*s)`` up.  A fixed point of the RK4 map is a fixed point of the
+    max(S)*s)`` up.  A fixed point of the RK4 map is a fixed point of the
     ODE, so the settled state does not depend on the step beyond SETTLE_TOL.
 
     Returns the settled per-degree probabilities.  Raises
     :class:`IntegrationError` as soon as a unit-time sample is not finite
     or lies outside [0, 1] beyond roundoff (an unstable caller-supplied
-    ``dt``), and :class:`ConvergenceError` once SETTLE_T_MAX runs out.
+    ``dt``), and :class:`ConvergenceError` once SETTLE_T_MAX runs out,
+    carrying the last iterate, rebuilt off S the same way.
     """
     _require_same_support(params, state)
-    d = params.distribution.float_degrees
-    q_hat = state.neighbor_weights()
+    support = np.flatnonzero(state.unprotected)
+    d = params.distribution.float_degrees[support]
+    q_hat = state.neighbor_weights()[support]
     delta = params.delta
     if dt is None:
-        dt = STABLE_STEP / (delta + params.distribution.d_max * q_hat.sum())
+        dt = STABLE_STEP / (delta + d.max(initial=0.0) * q_hat.sum())
     _require_finite_positive(dt=dt)
-    p = _initial_probabilities(params, p0)
+    p = _initial_probabilities(params, p0)[support]
+    if not support.size:
+        return np.zeros(params.distribution.size)
 
+    rk4 = _RK4(delta, d, q_hat, dt)
+    spare = np.empty_like(p)
+    settled = _with_off_support(params, support, q_hat, p)
     chunk_steps = max(1, int(round(1.0 / dt)))
     elapsed = 0.0
     while elapsed < SETTLE_T_MAX:
-        prev = p.copy()
         for _ in range(chunk_steps):
-            p = _rk4_step(delta, d, q_hat, p, dt)
-        # before the clip, which would hide an unstable step
+            p, spare = rk4.step(p, spare), p
+        # checked, and clipped, once per unit-time sample
         _require_unit_interval(p, elapsed + chunk_steps * dt)
-        p = np.clip(p, 0.0, 1.0)
         elapsed += chunk_steps * dt
-        if np.max(np.abs(p - prev)) < SETTLE_TOL:
-            return p
-    raise ConvergenceError(
-        f"dynamics not settled within {SETTLE_T_MAX:g} time units", best=p, residual=float(np.max(np.abs(p - prev)))
-    )
+        prev, settled = settled, _with_off_support(params, support, q_hat, p)
+        change = float(np.max(np.abs(settled - prev)))
+        if change < SETTLE_TOL:
+            return settled
+    raise ConvergenceError(f"dynamics not settled within {SETTLE_T_MAX:g} time units", best=settled, residual=change)
 
 
 @dataclass(frozen=True)

@@ -35,23 +35,87 @@ def random_params(rng, dist, lo=0.25, hi=0.85):
     return EpidemicParams(float(rng.uniform(lo, hi) * ratio), dist)
 
 
-def count_rk4_steps(monkeypatch):
+def count_rk4_steps(monkeypatch, per_degree=False):
     """Count RK4 steps from here on; returns a callable giving the count.
 
-    Wraps ``vaxgame.dbmf._ode_rhs``, which the integrators look up as a
+    Wraps ``vaxgame.dbmf._ode_rhs``, which the RK4 kernel looks up as a
     module global once per stage, four stages a step: the same seam
-    ``bench/tracing.py`` counts right-hand-side evaluations through.
+    ``bench/tracing.py`` counts right-hand-side evaluations through.  With
+    ``per_degree`` a step counts the degree columns it steps, so the count
+    is the sum of steps x width.
     """
     rhs = dbmf._ode_rhs
     calls = 0
 
     def counted(*args):
         nonlocal calls
-        calls += 1
+        calls += len(args[1]) if per_degree else 1
         return rhs(*args)
 
     monkeypatch.setattr(dbmf, "_ode_rhs", counted)
     return lambda: calls // 4
+
+
+def rk4_step_reference(delta, d, q_hat, p, dt):
+    """One classical RK4 step of the mean-field ODE, each stage a new array.
+
+    The allocating step the in-place kernel ``dbmf._RK4`` replaced, kept
+    as the bits that kernel must give.
+    """
+
+    def rhs(p):
+        d_theta = d * np.add.reduce(q_hat * p)
+        return d_theta - p * (delta + d_theta)
+
+    k1 = rhs(p)
+    k2 = rhs(p + 0.5 * dt * k1)
+    k3 = rhs(p + 0.5 * dt * k2)
+    k4 = rhs(p + dt * k3)
+    return p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _require_unit_interval_reference(p, t):
+    if not (p.min() >= -1e-9 and p.max() <= 1.0 + 1e-9):
+        raise dbmf.IntegrationError(f"iterate left [0, 1] at t={t:g}; reduce dt")
+
+
+def integrate_reference(params, state, p0, t_end, dt, stride=1):
+    """The table of ``integrate_dbmf`` by the allocating step: each step checked, clipped and copied to its row."""
+    d = params.distribution.float_degrees
+    q_hat = state.neighbor_weights()
+    p = np.broadcast_to(np.asarray(p0, dtype=np.float64), d.shape).copy()
+    steps = max(1, int(round(t_end / dt)))
+    rows = [np.concatenate([[0.0], p])]
+    for k in range(1, steps + 1):
+        p = rk4_step_reference(params.delta, d, q_hat, p, dt)
+        _require_unit_interval_reference(p, k * dt)
+        np.clip(p, 0.0, 1.0, out=p)
+        if k % stride == 0 or k == steps:
+            row = np.empty(1 + p.size)
+            row[0], row[1:] = k * dt, p
+            rows.append(row)
+    return np.array(rows)
+
+
+def settle_reference(params, state, p0=0.5, dt=None):
+    """``settle_dbmf`` over every degree by the allocating step, at ``STABLE_STEP/(delta + d_max*s)`` by default."""
+    d = params.distribution.float_degrees
+    q_hat = state.neighbor_weights()
+    if dt is None:
+        dt = dbmf.STABLE_STEP / (params.delta + params.distribution.d_max * q_hat.sum())
+    p = np.broadcast_to(np.asarray(p0, dtype=np.float64), d.shape).copy()
+    chunk_steps = max(1, int(round(1.0 / dt)))
+    elapsed = 0.0
+    while elapsed < dbmf.SETTLE_T_MAX:
+        prev = p
+        for _ in range(chunk_steps):
+            p = rk4_step_reference(params.delta, d, q_hat, p, dt)
+        _require_unit_interval_reference(p, elapsed + chunk_steps * dt)
+        p = np.clip(p, 0.0, 1.0)
+        elapsed += chunk_steps * dt
+        if np.max(np.abs(p - prev)) < dbmf.SETTLE_TOL:
+            return p
+    raise dbmf.ConvergenceError("reference settle ran out of time", best=p)
 
 
 def count_forks(monkeypatch):

@@ -10,12 +10,13 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import WriteOnly, assert_no_child, count_forks, set_cpus
 
-from vaxgame.cli import ScenarioError, _TableSink, cmd_dynamics, load_scenario, main
+from vaxgame.cli import MAX_COST_STEPS, ScenarioError, _TableSink, cmd_dynamics, load_scenario, main
 from vaxgame.dbmf import BLOCK_ROWS, MAX_TABLE_BYTES
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -79,6 +80,12 @@ class TestScenarioValidation:
             obj["cost"] = bad
             with pytest.raises(ScenarioError):
                 load_scenario(write_scenario(tmp_path, obj))
+
+    def test_sweep_at_the_cap_loads(self, tmp_path):
+        obj = k4_scenario({"start": 0.1, "stop": 0.9, "steps": MAX_COST_STEPS})
+        costs = load_scenario(write_scenario(tmp_path, obj)).costs
+        assert len(costs) == MAX_COST_STEPS == 10**6
+        assert costs[0] == 0.1 and costs[-1] == 0.9
 
     def test_cost_outside_unit_interval(self, tmp_path):
         obj = k4_scenario(cost=1.2)
@@ -632,6 +639,32 @@ class TestErrorExit:
         assert rc == 2 and not out.exists()
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ScenarioError" and key in err["message"]
+
+    def test_step_count_past_the_float_range_exits_2(self, tmp_path, capsys):
+        # t_end/dt is inf: exited 2 as a raw OverflowError before
+        obj = k4_scenario()
+        obj["dynamics"] = {"p0": 0.5, "t_end": 1e300, "dt": 1e-10}
+        scenario = write_scenario(tmp_path, obj)
+        out = tmp_path / "o.csv"
+        rc = main(["solve", "dynamics", "--scenario", scenario, "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ScenarioError"
+        assert "trajectory too large" in err["message"] and "t_end/dt = 1e+300/1e-10" in err["message"]
+
+    def test_cost_sweep_past_the_cap_exits_2_before_any_cost_is_made(self, tmp_path, capsys, monkeypatch):
+        def no_costs(*args):
+            raise AssertionError("costs made before the cap was checked")
+
+        monkeypatch.setattr(np, "linspace", no_costs)
+        obj = k4_scenario({"start": 0.1, "stop": 0.9, "steps": MAX_COST_STEPS + 1})
+        scenario = write_scenario(tmp_path, obj)
+        out = tmp_path / "o.csv"
+        rc = main(["solve", "pne", "--scenario", scenario, "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ScenarioError"
+        assert err["message"] == "'cost.steps' must be an integer of at most 1,000,000"
 
     def test_nan_p0_is_named(self, tmp_path, capsys):
         # JSON NaN passed two "outside [0, 1]" tests and failed later as an

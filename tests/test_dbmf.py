@@ -26,14 +26,16 @@ from vaxgame import (
     settle_dbmf,
 )
 from vaxgame import dbmf
-from vaxgame.dbmf import NEAR_CRITICAL_R, EndemicState
+from vaxgame.dbmf import NEAR_CRITICAL_R, EndemicState, TableSizeError
 
 from conftest import (
     bisect_endemic_v,
     count_rk4_steps,
+    integrate_reference,
     random_distribution,
     random_params,
     record_root_widths,
+    settle_reference,
 )
 
 
@@ -457,6 +459,18 @@ class TestDynamics:
         with pytest.raises(ValueError, match=r"100,000,001 x 2 floats needs 1\.5 GiB"):
             integrate_dbmf(params, state, 0.5, 1.0, dt=1e-8)
 
+    def test_step_count_past_the_float_range_is_refused_before_any_step(self, monkeypatch):
+        params = single_degree_params()
+        state = SocialState(params.distribution, params.distribution.mass)
+
+        def no_step(*args):
+            raise AssertionError("stepped before the size check")
+
+        monkeypatch.setattr(dbmf, "_ode_rhs", no_step)
+        # t_end/dt = 1e310 is inf: int(round(...)) raised OverflowError before
+        with pytest.raises(TableSizeError, match=r"t_end/dt = 1e\+10/1e-300 steps, past the float range"):
+            integrate_dbmf(params, state, 0.5, 1e10, dt=1e-300)
+
     @pytest.mark.parametrize("p0", [[0.3] * 3, [0.3] * 11, [0.3], [[0.3] * 10]], ids=["3", "11", "1", "nested"])
     def test_p0_needs_one_value_per_degree(self, p0):
         # 3 and 11 entries failed to broadcast before; [0.3] was spread over all 10 degrees
@@ -620,6 +634,117 @@ class TestDynamics:
         assume(abs(r - 1.0) >= 0.1)
         p = settle_dbmf(params, state, p0=p0)
         np.testing.assert_allclose(p, endemic_state(params, state).p, rtol=0, atol=1e-6)
+
+
+def _drawn_instance(data, degrees, delta_ratio, share_floor=0.0):
+    """Distribution, params and state with random mass and unprotected shares over ``degrees``."""
+    n = len(degrees)
+    mass = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    dist = DegreeDistribution(sorted(degrees), mass / mass.sum())
+    share = np.array(data.draw(st.lists(st.floats(share_floor, 1.0), min_size=n, max_size=n)))
+    params = EpidemicParams(delta_ratio * dist.second_moment / dist.mean_degree, dist)
+    return params, SocialState(dist, share * dist.mass)
+
+
+def _drawn_p0(data, n):
+    """A number, or one value per degree."""
+    return data.draw(st.floats(0.0, 1.0) | st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+
+
+class TestInPlaceKernel:
+    """The in-place RK4 kernel gives the bits of the allocating step it replaced."""
+
+    @pytest.mark.parametrize("streamed", [False, True], ids=["table", "sink"])
+    @pytest.mark.parametrize("stride", [1, 2, 3, 7, 100])
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(
+        degrees=st.lists(st.integers(1, 40), min_size=1, max_size=8, unique=True),
+        data=st.data(),
+        delta_ratio=st.floats(0.2, 1.5),
+        step_share=st.floats(0.3, 1.0),
+        steps=st.integers(1, 600),
+    )
+    def test_trajectory_is_the_reference_bit_for_bit(
+        self, stride, streamed, degrees, data, delta_ratio, step_share, steps
+    ):
+        params, state = _drawn_instance(data, degrees, delta_ratio)
+        p0 = _drawn_p0(data, len(degrees))
+        s = state.neighbor_weights().sum()
+        dt = step_share * min(0.01 / params.delta, dbmf.STABLE_STEP / (params.delta + params.distribution.d_max * s))
+        # up to 600 steps: nine 64-row blocks at stride 1, three at stride 3
+        expected = integrate_reference(params, state, p0, steps * dt, dt, stride)
+        if streamed:
+            blocks = []
+            assert integrate_dbmf(params, state, p0, steps * dt, dt, stride, lambda b: blocks.append(b.copy())) is None
+            table = np.concatenate(blocks)
+        else:
+            table = integrate_dbmf(params, state, p0, steps * dt, dt, stride).table
+        assert table.tobytes() == expected.tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        degrees=st.lists(st.integers(1, 30), min_size=1, max_size=8, unique=True),
+        data=st.data(),
+        delta_ratio=st.floats(0.2, 1.5),
+    )
+    def test_full_support_settle_is_the_reference_bit_for_bit(self, degrees, data, delta_ratio):
+        params, state = _drawn_instance(data, degrees, delta_ratio, share_floor=0.05)
+        # the approach to the fixed point slows to a crawl at R = 1
+        assume(abs(reproduction(params, state) - 1.0) >= 0.05)
+        p0 = _drawn_p0(data, len(degrees))
+        assert settle_dbmf(params, state, p0).tobytes() == settle_reference(params, state, p0).tobytes()
+
+
+class TestSettleSupport:
+    """settle_dbmf steps only the degrees with unprotected mass and rebuilds the rest."""
+
+    def test_everyone_vaccinated_settles_to_zero(self):
+        params = EpidemicParams(2.0, power_law(1, 50, 3.0))
+        state = SocialState(params.distribution, np.zeros(params.distribution.size))
+        with np.errstate(all="raise"):
+            for p0 in (0.0, 0.7, np.linspace(0.0, 1.0, 50)):
+                p = settle_dbmf(params, state, p0=p0)
+                assert p.shape == (50,) and p.tobytes() == np.zeros(50).tobytes()
+        # p0 and a caller's dt are still checked
+        with pytest.raises(ValueError, match="p0"):
+            settle_dbmf(params, state, p0=1.5)
+        with pytest.raises(ValueError, match="dt"):
+            settle_dbmf(params, state, dt=0.0)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        degrees=st.lists(st.integers(1, 30), min_size=2, max_size=8, unique=True),
+        data=st.data(),
+        delta_ratio=st.floats(0.2, 1.5),
+    )
+    def test_gapped_support_matches_fixed_point_and_dense_settle(self, degrees, data, delta_ratio):
+        params, state = _drawn_instance(data, degrees, delta_ratio)
+        n = len(degrees)
+        vaccinated = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        assume(vaccinated.any())
+        state = SocialState(params.distribution, np.where(vaccinated, 0.0, state.unprotected))
+        # the approach to the fixed point slows to a crawl at R = 1
+        assume(abs(reproduction(params, state) - 1.0) >= 0.1)
+        p0 = _drawn_p0(data, n)
+        p = settle_dbmf(params, state, p0)
+        theta = float(np.add.reduce(state.neighbor_weights() * p))
+        assert abs(theta - endemic_state(params, state).v) <= 1e-9
+        np.testing.assert_allclose(p, settle_reference(params, state, p0), rtol=0, atol=1e-9)
+
+    def test_threshold_state_settles_at_scale(self, monkeypatch):
+        # the dense settle stepped all 80,000 degrees at 1.5/(delta + d_max*s):
+        # 2.7 s at 1,000 degrees, and out of reach here
+        dist = power_law(1, 80_000, 3.0)
+        params = EpidemicParams(2.0, dist)
+        state = CandidateState(dist, 20)
+        work = count_rk4_steps(monkeypatch, per_degree=True)
+        p = settle_dbmf(params, state)
+        es = endemic_state(params, state)
+        # a budget of steps x width, not a clock: 1,666 steps x 20 degrees =
+        # 33,320 when written, held to 1.5 times that
+        assert work() <= 50_000
+        assert abs(float(np.add.reduce(state.neighbor_weights() * p)) - es.v) <= 1e-9
+        np.testing.assert_allclose(p, es.p, rtol=0, atol=1e-9)
 
 
 class TestNimfaReduction:
