@@ -218,18 +218,9 @@ def ratio_sandwich(ctx: PowerLawBoundContext, alpha: float, costs) -> RatioSandw
         )
         points.append(
             RatioSandwichPoint(
-                cost=float(c),
-                d_true=d_t,
-                d_weighted=d_w,
-                true_lo=t_lo,
-                true_hi=t_hi,
-                weighted_lo=w_lo,
-                weighted_hi=w_hi,
-                true_within=t_lo <= d_t <= t_hi,
-                weighted_within=w_lo <= d_w <= w_hi,
-                ratio=d_w / d_t,
-                theta_proxy=theta,
-                uninformative=clipped,
+                cost=float(c), d_true=d_t, d_weighted=d_w, true_lo=t_lo, true_hi=t_hi, weighted_lo=w_lo,
+                weighted_hi=w_hi, true_within=t_lo <= d_t <= t_hi, weighted_within=w_lo <= d_w <= w_hi,
+                ratio=d_w / d_t, theta_proxy=theta, uninformative=clipped,
             )
         )
     return RatioSandwichReport(ctx, float(alpha), points)

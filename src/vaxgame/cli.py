@@ -294,16 +294,7 @@ def cmd_social_opt(scenario: Scenario) -> tuple[list, list]:
     ladder = ThresholdLadder(params)
     solver = SocialOptimumSolver(params)
     bound = params.distribution.mean_degree / params.delta
-    header = [
-        "c",
-        "alpha",
-        "opt_threshold",
-        "opt_fraction",
-        "opt_social_cost",
-        "pne_social_cost",
-        "gap",
-        "bound",
-    ]
+    header = ["c", "alpha", "opt_threshold", "opt_fraction", "opt_social_cost", "pne_social_cost", "gap", "bound"]
 
     def solve_cost(i: int) -> list:
         c = scenario.costs[i]
@@ -311,16 +302,8 @@ def cmd_social_opt(scenario: Scenario) -> tuple[list, list]:
         opt_state, opt_cost = solver.solve(c)
         opt_threshold = "none" if opt_state.threshold is None else opt_state.threshold
         return [
-            [
-                c,
-                alpha,
-                opt_threshold,
-                opt_state.fraction,
-                opt_cost.total,
-                res.social_cost,
-                res.social_cost - opt_cost.total,
-                bound,
-            ]
+            [c, alpha, opt_threshold, opt_state.fraction, opt_cost.total, res.social_cost,
+             res.social_cost - opt_cost.total, bound]
             for alpha, res in equilibria
         ]
 
@@ -351,18 +334,8 @@ def cmd_bounds(scenario: Scenario) -> tuple[list, list]:
 
     def solve_cost(i: int) -> list:
         return [
-            [
-                p.cost,
-                p.d_true,
-                p.d_weighted,
-                p.true_lo,
-                p.true_hi,
-                p.weighted_lo,
-                p.weighted_hi,
-                p.ratio,
-                p.theta_proxy,
-                int(p.uninformative),
-            ]
+            [p.cost, p.d_true, p.d_weighted, p.true_lo, p.true_hi, p.weighted_lo, p.weighted_hi, p.ratio,
+             p.theta_proxy, int(p.uninformative)]
             for p in ratio_sandwich(ctx, alpha, scenario.costs[i : i + 1]).points
         ]
 

@@ -16,27 +16,16 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .degree import DegreeDistribution
 
 __all__ = [
-    "EpidemicParams",
-    "SocialState",
-    "EndemicState",
-    "Trajectory",
-    "NimfaReduction",
-    "ConsistencyError",
-    "ConvergenceError",
-    "IntegrationError",
-    "TableSizeError",
-    "reproduction",
-    "endemic_state",
-    "batch_endemic_v",
-    "integrate_dbmf",
-    "settle_dbmf",
-    "nimfa_reduction",
+    "EpidemicParams", "SocialState", "EndemicState", "Trajectory", "NimfaReduction", "ConsistencyError",
+    "ConvergenceError", "IntegrationError", "TableSizeError", "reproduction", "endemic_state", "batch_endemic_v",
+    "integrate_dbmf", "settle_dbmf", "nimfa_reduction"
 ]
 
 # Endemic roots closer to criticality than this resolve to v = 0.
@@ -107,11 +96,28 @@ def _require_unprotected(distribution: DegreeDistribution, x: np.ndarray, ndim: 
         raise ValueError("unprotected mass must lie in [0, m_d] per degree")
 
 
+def prefix_sum(head: np.ndarray, n: int) -> float:
+    """``np.add.reduce`` of nonnegative ``head`` zero-extended to ``n`` entries, bit for bit.
+
+    numpy (1.9 through 2.x) sums a contiguous float64 array pairwise: a
+    leaf of at most 128 entries goes through 8 accumulators (one by one
+    under 8), a longer run splits at n/2 rounded down to a multiple of 8.
+    A half of zeros adds +0.0, so the sum is that of the leftmost tree
+    node covering ``head``, summed here with its zeros, as a leaf's
+    grouping depends on its length: at most 128 or about 2*len(head) terms.
+    """
+    k = head.size
+    while n > 128 and k <= n // 2 - n // 2 % 8:
+        n = n // 2 - n // 2 % 8
+    return float(np.add.reduce(np.concatenate((head, np.zeros(n - k))) if n > k else head))
+
+
 class SocialState:
     """Per-degree mass of unprotected nodes, keyed to a distribution.
 
     ``unprotected[i]`` lies in [0, m_i]; the vaccinated mass is implicit.
-    Immutable after construction.
+    ``prefix`` is ``unprotected`` up to its last nonzero entry, which the
+    sums over the state read.  Immutable after construction.
     """
 
     def __init__(self, distribution: DegreeDistribution, unprotected):
@@ -122,9 +128,14 @@ class SocialState:
         self.distribution = distribution
         self.unprotected = x
 
+    @cached_property
+    def prefix(self) -> np.ndarray:
+        nonzero = np.flatnonzero(self.unprotected)
+        return self.unprotected[: nonzero[-1] + 1 if nonzero.size else 0]
+
     @property
     def unprotected_mass(self) -> float:
-        return float(self.unprotected.sum())
+        return prefix_sum(self.prefix, self.distribution.size)
 
     def neighbor_weights(self) -> np.ndarray:
         """q_hat_d = d*x_{d,U}/<d>: chance a random neighbor is unprotected of degree d."""
@@ -143,13 +154,14 @@ class EndemicState:
     """Steady state induced by a social state.
 
     ``v`` is the probability that a randomly chosen neighbor is infected;
-    per-degree infection probabilities follow as p_d = d*v/(delta + d*v).
-    ``degenerate`` marks reproduction within float resolution of one,
-    where the positive root is below representable resolution.
+    per-degree infection probabilities follow as p_d = d*v/(delta + d*v),
+    built when ``p`` is first read.  ``degenerate`` marks reproduction
+    within float resolution of one, where the positive root is below
+    representable resolution.
     """
 
+    params: EpidemicParams = field(repr=False)
     v: float
-    p: np.ndarray = field(repr=False)
     reproduction: float
     residual: float
     degenerate: bool = False
@@ -158,26 +170,23 @@ class EndemicState:
     def endemic(self) -> bool:
         return self.v > 0.0
 
-
-def _reproductions(params: EpidemicParams, unprotected: np.ndarray) -> np.ndarray:
-    """R of each row of a C-contiguous ``(rows, n)`` array, over every degree.
-
-    A row's sum does not depend on the rows beside it, so a state is
-    endemic in a batch exactly when it is endemic alone.
-    """
-    d = params.distribution.float_degrees
-    return np.sum(d * d * unprotected, axis=1) / (params.delta * params.distribution.mean_degree)
+    @cached_property
+    def p(self) -> np.ndarray:
+        return _probabilities(self.params, self.v)
 
 
 def reproduction(params: EpidemicParams, state: SocialState) -> float:
-    """Reproduction quantity R(x) = sum d^2 x_{d,U} / (delta <d>)."""
+    """Reproduction quantity R(x) = sum d^2 x_{d,U} / (delta <d>), summed over the state's prefix."""
     _require_same_support(params, state)
-    return float(_reproductions(params, state.unprotected[None, :])[0])
+    x, dist = state.prefix, params.distribution
+    d = dist.float_degrees[: x.size]
+    return prefix_sum(d * d * x, dist.size) / (params.delta * dist.mean_degree)
 
 
-def _probabilities(params: EpidemicParams, v) -> np.ndarray:
-    """p_d = d*v/(delta + d*v): one row for a scalar v, one per entry of an array."""
-    d = params.distribution.float_degrees
+def _probabilities(params: EpidemicParams, v, width=None) -> np.ndarray:
+    """p_d = d*v/(delta + d*v) over the first ``width`` degrees (all by default):
+    one row for a scalar v, one per entry of an array."""
+    d = params.distribution.float_degrees[:width]
     v = np.asarray(v, dtype=np.float64)[..., None]
     return d * v / (params.delta + d * v)
 
@@ -241,25 +250,23 @@ def endemic_state(params: EpidemicParams, state: SocialState) -> EndemicState:
     Otherwise v is the unique root in (0, 1) of
     g(v) = sum_d d*q_hat_d/(delta + d*v) - 1, found to |g| <= ROOT_TOL by
     the monotone Newton kernel :func:`_endemic_roots` on a batch of one
-    row, over the degrees up to the last one with unprotected mass (the
-    terms past it are exactly zero).  R and the returned p still cover
-    every degree.  If its iteration cap runs out, the
+    row, over the state's ``prefix``, the degrees up to the last one with
+    unprotected mass (the terms past it are exactly zero).  R keeps the
+    bits of its sum over every degree.  If its iteration cap runs out, the
     :class:`ConvergenceError` carries the last iterate as an
     :class:`EndemicState`.
     """
     _require_same_support(params, state)
     r = reproduction(params, state)
     if r <= 1.0 + NEAR_CRITICAL_R:
-        return EndemicState(0.0, np.zeros(params.distribution.size), r, residual=0.0, degenerate=r > 1.0)
+        return EndemicState(params, 0.0, r, residual=0.0, degenerate=r > 1.0)
     try:
-        d, coeff = _coefficients(params, state.unprotected[None, :])
+        d, coeff = _coefficients(params, state.prefix[None, :])
         v, residual = _endemic_roots(params.delta, d, coeff, ROOT_TOL)
     except ConvergenceError as exc:
-        v = float(exc.best[0])
-        exc.best = EndemicState(v, _probabilities(params, v), r, residual=exc.residual)
+        exc.best = EndemicState(params, float(exc.best[0]), r, residual=exc.residual)
         raise
-    v = float(v[0])
-    return EndemicState(v, _probabilities(params, v), r, residual=float(residual[0]))
+    return EndemicState(params, float(v[0]), r, residual=float(residual[0]))
 
 
 def batch_endemic_v(params: EpidemicParams, unprotected: np.ndarray) -> np.ndarray:
@@ -277,7 +284,11 @@ def batch_endemic_v(params: EpidemicParams, unprotected: np.ndarray) -> np.ndarr
     _require_unprotected(params.distribution, x, ndim=2)
     d, coeff = _coefficients(params, x)
     v = np.zeros(x.shape[0])
-    active = _reproductions(params, x) > 1.0 + NEAR_CRITICAL_R
+    # R of each row over every degree, a sum that does not depend on the
+    # rows beside it: a state is endemic in a batch exactly when it is alone
+    d_all = params.distribution.float_degrees
+    r = np.sum(d_all * d_all * x, axis=1) / (params.delta * params.distribution.mean_degree)
+    active = r > 1.0 + NEAR_CRITICAL_R
     try:
         v[active] = _endemic_roots(params.delta, d, coeff[active], ROOT_TOL)[0]
     except ConvergenceError as exc:

@@ -20,25 +20,17 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .dbmf import NEAR_CRITICAL_R, EpidemicParams, SocialState, _probabilities, endemic_state, reproduction
+from .dbmf import NEAR_CRITICAL_R, EpidemicParams, SocialState, _probabilities, endemic_state, prefix_sum, reproduction
 from .degree import DegreeDistribution
 from .weighting import WeightingSpec, identity, weight, weight_inverse
 
 __all__ = [
-    "GameSpec",
-    "CandidateState",
-    "EquilibriumResult",
-    "PneCertificate",
-    "TrueVsWeightedReport",
-    "ThresholdLadder",
-    "compare_candidates",
-    "unprotected_cost",
-    "solve_pne",
-    "verify_pne",
-    "compare_true_vs_weighted",
+    "GameSpec", "CandidateState", "EquilibriumResult", "PneCertificate", "TrueVsWeightedReport", "ThresholdLadder",
+    "compare_candidates", "unprotected_cost", "solve_pne", "verify_pne", "compare_true_vs_weighted"
 ]
 
 # Absolute slack when placing K against window edges; ties resolve to the
@@ -77,31 +69,47 @@ class CandidateState(SocialState):
     everyone vaccinates) and ``fraction`` the unprotected mass there, in
     (0, m_threshold].  Degrees below the threshold are fully unprotected,
     degrees above fully vaccinated.  The constructor takes a fraction in
-    [0, m_threshold], defaulting to the full mass; a zero fraction builds
-    the same array as the full state at the previous degree, or as
-    everyone vaccinated at d_min, and is stored as that state.  So every
-    threshold state has one representation, and a candidate goes wherever
-    a social state does.
+    [0, m_threshold], defaulting to the full mass; a zero fraction is the
+    full state at the previous degree, or everyone vaccinated at d_min,
+    and is stored as that state.  So every threshold state has one
+    representation, and a candidate goes wherever a social state does.
+    It is kept as ``index`` (the threshold's position, -1 for everyone
+    vaccinated) and the fraction, checked in O(1), which is all the n-wide
+    check and clip of a social state would find; ``prefix`` (O(threshold))
+    and the n-wide ``unprotected`` are built when first read.
     """
 
     def __init__(self, distribution: DegreeDistribution, threshold, fraction=None):
-        x = np.zeros_like(distribution.mass)
-        f = 0.0
+        i, f = -1, 0.0
         if threshold is not None:
             i = distribution.index_of(threshold)
             m = float(distribution.mass[i])
             f = m if fraction is None else float(fraction)
             if not (0.0 <= f <= m + 1e-15):
                 raise ValueError("threshold fraction outside [0, m_d]")
-            x[:i] = distribution.mass[:i]
-            x[i] = f = min(f, m)
+            f = min(f, m)
             if f == 0.0:
                 # no mass at the threshold: relabel as the previous full state
-                threshold = None if i == 0 else distribution.degrees[i - 1]
-                f = 0.0 if i == 0 else float(distribution.mass[i - 1])
-        super().__init__(distribution, x)
-        self.threshold = None if threshold is None else int(threshold)
+                i -= 1
+                f = 0.0 if i < 0 else float(distribution.mass[i])
+        self.distribution = distribution
+        self.index = i
+        self.threshold = None if i < 0 else int(distribution.degrees[i])
         self.fraction = f
+
+    @cached_property
+    def prefix(self) -> np.ndarray:
+        x = self.distribution.mass[: self.index + 1].copy()
+        x[self.index :] = self.fraction  # the threshold's entry, none for everyone vaccinated
+        x.setflags(write=False)
+        return x
+
+    @cached_property
+    def unprotected(self) -> np.ndarray:
+        x = np.zeros_like(self.distribution.mass)
+        x[: self.index + 1] = self.prefix
+        x.setflags(write=False)
+        return x
 
     @classmethod
     def all_unprotected(cls, distribution: DegreeDistribution) -> "CandidateState":
@@ -153,9 +161,9 @@ class ThresholdLadder:
     :func:`reproduction` of the rung's state, whose float sum does not
     fall as terms join, so the endemic rungs are a suffix, found by
     bisection, and every rung below it has v = 0.  Each root asked of
-    :meth:`v_at` is solved once.  The ladder depends only on
-    (distribution, delta) and is shared across cost and weighting sweeps.
-    Concurrent use is safe: entries are written idempotently.
+    :meth:`v_at` is solved once, on the rung's prefix.  The ladder depends
+    only on (distribution, delta), is shared across cost and weighting
+    sweeps, and is safe in concurrent use: entries are written idempotently.
     """
 
     def __init__(self, params: EpidemicParams):
@@ -254,22 +262,16 @@ def _result_from_candidate(
     interior: bool,
     tie: bool,
 ) -> EquilibriumResult:
-    p = _probabilities(spec.params, v)
-    infected = float(np.sum(cand.unprotected * p))
+    # sums over the threshold's prefix, in the bits of the n-wide sums
+    x = cand.prefix
+    p = _probabilities(spec.params, v, x.size)
+    infected = prefix_sum(x * p, spec.distribution.size)
     psi = infected + spec.cost * (1.0 - cand.unprotected_mass)
-    i = spec.distribution.index_of(cand.threshold)
     r = reproduction(spec.params, cand)
     return EquilibriumResult(
-        state=cand,
-        v=v,
-        K=K,
-        window=window,
-        interior=interior,
-        perceived_cost_at_threshold=weight(spec.weighting, float(p[i])),
-        expected_infected=infected,
-        social_cost=psi,
-        reproduction=r,
-        degenerate_near_critical=r <= 1.0 + NEAR_CRITICAL_R,
+        state=cand, v=v, K=K, window=window, interior=interior,
+        perceived_cost_at_threshold=weight(spec.weighting, float(p[-1])), expected_infected=infected,
+        social_cost=psi, reproduction=r, degenerate_near_critical=r <= 1.0 + NEAR_CRITICAL_R,
         degenerate_window_tie=tie,
     )
 
@@ -291,13 +293,8 @@ def solve_pne(spec: GameSpec, ladder: ThresholdLadder | None = None) -> Equilibr
     j the threshold's index.  K lies inside the interior window when
     g_t((K + WINDOW_SLACK)/t) > 0; only a boundary equilibrium solves its
     rung's root.  The last window is unbounded: with every rung
-    subcritical, nobody vaccinates.
-
-    Parameters
-    ----------
-    spec : GameSpec
-    ladder : ThresholdLadder, optional
-        Shared prefix sums and rung roots for sweeps.
+    subcritical, nobody vaccinates.  A sweep shares one ``ladder``; past
+    its n-wide set-up an equilibrium costs O(threshold).
     """
     ladder = matching_ladder(spec.params, ladder)
 
@@ -358,34 +355,62 @@ class PneCertificate:
 
     For every degree with unprotected mass the perceived unprotected cost
     must not exceed c, and with vaccinated mass it must not fall below c.
-    ``violations`` is that slack per degree, aligned with the distribution's
-    ``degrees`` (0 where neither is violated); ``max_violation`` is its
-    maximum, and the state passes when it is at most ``CERT_TOL``.
+    ``max_violation`` is the largest such slack (0 if none), reached at
+    ``degree`` (None at 0), and the state passes when it is at most
+    ``CERT_TOL``.  ``violations``, the slack per degree aligned with the
+    distribution's ``degrees``, is built n-wide when first read.
     """
 
     max_violation: float
     passed: bool
-    violations: np.ndarray = field(repr=False)
+    degree: int | None
+    spec: GameSpec = field(repr=False)
+    state: SocialState = field(repr=False)
+    v: float = field(repr=False)
+
+    @cached_property
+    def violations(self) -> np.ndarray:
+        c, x_u = self.spec.cost, self.state.unprotected
+        w_p = weight(self.spec.weighting, _probabilities(self.spec.params, self.v))
+        # masked-out families read 0, so the slack is never negative
+        return np.maximum(
+            np.where(x_u > 0.0, w_p - c, 0.0), np.where(self.spec.distribution.mass - x_u > 1e-15, c - w_p, 0.0)
+        )
 
 
 def verify_pne(spec: GameSpec, state: SocialState) -> PneCertificate:
-    """Best-response check of any SocialState at ``CERT_TOL``.
+    """Best-response check of any SocialState at ``CERT_TOL``, decided at two degrees.
 
-    Re-solves the endemic state itself; TypeError for any other argument.
+    Re-solves the endemic v itself, over the state's prefix; TypeError for
+    any other argument.  p_d = d*v/(delta + d*v) rises with d at any
+    v >= 0 and w rises strictly, so the worst slack of all degrees is
+    w(p) - c at the highest degree with unprotected mass or c - w(p) at
+    the lowest with vaccinated mass (above 1e-15), or 0.  A threshold
+    state finds both in O(1): the threshold, and the threshold again (an
+    interior fraction) or the next degree; any other state in one scan.
     """
     if not isinstance(state, SocialState):
         raise TypeError("expected a SocialState")
-    endemic = endemic_state(spec.params, state)
-    w_p = weight(spec.weighting, endemic.p)
-    x_u = state.unprotected
-    x_v = spec.distribution.mass - x_u
-    # masked-out families read 0, so the slack is never negative
-    viol = np.maximum(
-        np.where(x_u > 0.0, w_p - spec.cost, 0.0),
-        np.where(x_v > 1e-15, spec.cost - w_p, 0.0),
-    )
-    worst = float(viol.max())
-    return PneCertificate(worst, worst <= CERT_TOL, viol)
+    v = endemic_state(spec.params, state).v
+    dist, c = spec.distribution, spec.cost
+    top = state.prefix.size - 1
+    if isinstance(state, CandidateState):
+        # full mass below the threshold and none above; a mass of exactly 1e-15 is no vaccinated mass
+        low = top if top >= 0 and dist.mass[top] - state.fraction > 1e-15 else top + 1
+        while low < dist.size and not dist.mass[low] > 1e-15:
+            low += 1
+    else:
+        vaccinated = np.flatnonzero(dist.mass - state.unprotected > 1e-15)
+        low = int(vaccinated[0]) if vaccinated.size else dist.size
+    d = dist.float_degrees[[j for j in (top, low) if 0 <= j < dist.size]]
+    w_p = weight(spec.weighting, d * v / (spec.params.delta + d * v))
+    worst, where = 0.0, None
+    if top >= 0 and w_p[0] - c > worst:
+        worst, where = float(w_p[0] - c), top
+    if low < dist.size and c - w_p[-1] > worst:
+        worst, where = float(c - w_p[-1]), low
+    degree = None if where is None else int(dist.degrees[where])
+    return PneCertificate(worst, worst <= CERT_TOL, degree, spec, state, v)
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,12 @@ from vaxgame import (
     ThresholdLadder,
     batch_endemic_v,
     dbmf,
+    endemic_state,
     game,
+    weight,
     weight_inverse,
 )
-from vaxgame.game import WINDOW_SLACK, _interior_fraction
+from vaxgame.game import CERT_TOL, WINDOW_SLACK, _interior_fraction
 
 
 def random_distribution(rng, max_degrees=6, degree_pool=30):
@@ -230,6 +232,26 @@ def best_response_violation(spec, unprotected, v):
     viol = np.where(unpro, np.maximum(viol, w - spec.cost), viol)
     viol = np.where(vacc, np.maximum(viol, spec.cost - w), viol)
     return viol.max(axis=1)
+
+
+def certificate_reference(spec, state):
+    """The n-wide best-response check that ``verify_pne``'s two-degree check replaced.
+
+    Re-solves the endemic state, weighs every degree's p_d in one array
+    pass and takes the slack of both families at every degree.  Returns
+    ``(max_violation, passed, violations)``, the slack aligned with the
+    distribution's degrees.
+    """
+    w_p = weight(spec.weighting, endemic_state(spec.params, state).p)
+    x_u = state.unprotected
+    x_v = spec.distribution.mass - x_u
+    # masked-out families read 0, so the slack is never negative
+    viol = np.maximum(
+        np.where(x_u > 0.0, w_p - spec.cost, 0.0),
+        np.where(x_v > 1e-15, spec.cost - w_p, 0.0),
+    )
+    worst = float(viol.max())
+    return worst, worst <= CERT_TOL, viol
 
 
 def bisect_endemic_v(params, unprotected):

@@ -26,7 +26,7 @@ from vaxgame import (
     settle_dbmf,
 )
 from vaxgame import dbmf
-from vaxgame.dbmf import NEAR_CRITICAL_R, EndemicState, TableSizeError
+from vaxgame.dbmf import NEAR_CRITICAL_R, EndemicState, TableSizeError, prefix_sum
 
 from conftest import (
     bisect_endemic_v,
@@ -44,6 +44,59 @@ UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 def single_degree_params(k=4, delta=2.0):
     return EpidemicParams(delta, explicit({k: 1.0}))
+
+
+def left_spine(n):
+    """Lengths of the nodes on the left edge of numpy's pairwise-summation tree over n."""
+    nodes = [n]
+    while nodes[-1] > 128:
+        half = nodes[-1] // 2
+        nodes.append(half - half % 8)
+    return nodes
+
+
+class TestPrefixSum:
+    SIZES = (1, 5, 8, 9, 100, 127, 128, 129, 136, 137, 255, 256, 257, 499, 4999, 8192, 8193, 80_000, 131_073, 200_000)
+
+    def test_keeps_the_bits_of_the_zero_tailed_sum(self):
+        # prefixes of 1-8 degrees, near a leaf's 128 and near each split of
+        # the tree; the sum of the bare prefix misses some of these bits
+        rng = np.random.default_rng(97)
+        cases = plain_misses = 0
+        for n in self.SIZES:
+            ks = set(range(1, 9)) | set(range(120, 137))
+            for node in left_spine(n):
+                ks |= set(range(node - 3, node + 4))
+            for k in sorted(k for k in ks if 1 <= k <= n):
+                head = rng.uniform(0.0, 1.0, k) * 10.0 ** rng.uniform(-8.0, 8.0, k)
+                full = np.zeros(n)
+                full[:k] = head
+                want = float(np.add.reduce(full)).hex()
+                assert prefix_sum(head, n).hex() == want, (n, k)
+                plain_misses += float(np.add.reduce(head)).hex() != want
+                cases += 1
+        assert cases > 500 and plain_misses > 0
+
+    def test_an_empty_prefix_sums_to_zero(self):
+        for n in (1, 200, 5000):
+            assert prefix_sum(np.zeros(0), n) == 0.0
+
+    def test_state_sums_match_the_n_wide_sums(self):
+        # R and the unprotected mass of a threshold state and of a random
+        # state with a zero tail, over their prefixes
+        dist = power_law(1, 5000, 3.0)
+        params = EpidemicParams(2.0, dist)
+        d = dist.float_degrees
+        rng = np.random.default_rng(5)
+        for t in (1, 7, 64, 129, 300, 2499, 2500, 5000):
+            k = dist.index_of(t) + 1
+            tail = np.where(np.arange(dist.size) < k, rng.uniform(0.0, 1.0, dist.size), 0.0)
+            for state in (CandidateState(dist, t, 0.5 * dist.mass_of(t)), SocialState(dist, tail * dist.mass)):
+                x = state.unprotected
+                assert state.prefix.size == k
+                assert state.unprotected_mass.hex() == float(x.sum()).hex()
+                r = float(np.sum(d * d * x[None, :], axis=1)[0]) / (params.delta * dist.mean_degree)
+                assert reproduction(params, state).hex() == r.hex()
 
 
 class TestReproduction:

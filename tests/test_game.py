@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,10 +32,11 @@ from vaxgame import cli
 from vaxgame.cli import cmd_pne, load_scenario
 from vaxgame.dbmf import ROOT_TOL
 from vaxgame.game import CERT_TOL
-from vaxgame.degree import DegreeDistribution
+from vaxgame.degree import MIN_MASS, DegreeDistribution
 
 from conftest import (
     brute_force_pne,
+    certificate_reference,
     random_distribution,
     random_params,
     record_root_widths,
@@ -56,6 +58,43 @@ def distributions(draw):
         return DegreeDistribution(sorted(degrees), mass / mass.sum())
     d_min = draw(st.integers(1, 4))
     return power_law(d_min, d_min + draw(st.integers(0, 150)), draw(st.floats(2.05, 3.5)))
+
+
+@st.composite
+def certificate_games(draw):
+    """A game on 1 to 12 explicit degrees in 1..60, some of mass exactly MIN_MASS,
+    under identity or Prelec alpha in [0.05, 1], with the states to certify:
+    its equilibrium, that equilibrium shaved below the 1e-15 floor, a threshold
+    state, a random social state and the top and bottom candidates."""
+    degrees = sorted(draw(st.lists(st.integers(1, 60), min_size=1, max_size=12, unique=True)))
+    n = len(degrees)
+    tiny = np.zeros(n, dtype=bool)
+    tiny[list(draw(st.sets(st.integers(0, n - 1), max_size=n - 1)))] = True
+    raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    mass = np.where(tiny, MIN_MASS, raw / raw[~tiny].sum() * (1.0 - MIN_MASS * tiny.sum()))
+    dist = DegreeDistribution(degrees, mass)
+    ratio = draw(st.floats(0.01, 0.9999))
+    params = EpidemicParams(ratio * dist.second_moment / dist.mean_degree, dist)
+    w = identity() if draw(st.booleans()) else prelec(draw(st.floats(0.05, 1.0)))
+    spec = GameSpec(params, w, draw(st.floats(0.01, 0.99)))
+
+    res = solve_pne(spec)
+    t = dist.index_of(res.state.threshold)
+    shaved = np.array(res.state.unprotected)
+    shaved[:t] = np.nextafter(dist.mass[:t], 0.0)
+    j = draw(st.integers(0, n - 1))
+    # a fraction at the full mass, within the 1e-15 floor of it, or anywhere below
+    gap = draw(st.sampled_from([0.0, 5e-16, 1e-15, 2e-15]) | st.floats(0.0, 1.0).map(lambda s: s * dist.mass[j]))
+    scale = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=n, max_size=n))
+    states = [
+        res.state,
+        SocialState(dist, shaved),
+        CandidateState(dist, degrees[j], max(float(dist.mass[j]) - gap, 0.0)),
+        SocialState(dist, np.array(scale) * dist.mass),
+        CandidateState.all_vaccinated(dist),
+        CandidateState.all_unprotected(dist),
+    ]
+    return spec, states
 
 
 class CountingLadder(ThresholdLadder):
@@ -536,6 +575,22 @@ class TestVerifyPne:
                 for i, (degree, viol) in enumerate(by_degree.items()):
                     assert cert.violations[i] == pytest.approx(viol, abs=1e-15), degree
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(game=certificate_games())
+    def test_two_degrees_decide_as_every_degree(self, game):
+        # the two-degree check against the n-wide one: the same worst slack
+        # to the bit, the same verdict, and a degree where that slack is reached
+        spec, states = game
+        for state in states:
+            cert = verify_pne(spec, state)
+            worst, passed, viol = certificate_reference(spec, state)
+            assert cert.max_violation.hex() == worst.hex(), state
+            assert cert.passed == passed
+            if worst > 0.0:
+                assert viol[spec.distribution.index_of(cert.degree)] == worst
+            else:
+                assert cert.degree is None
+
     def test_rejects_non_states(self):
         spec = k4_spec()
         for other in (spec.distribution.mass, solve_pne(spec)):
@@ -587,6 +642,27 @@ class TestRootWorkBudget:
             widths.clear()
             assert verify_pne(spec, cand).violations.shape == (dist.size,)
             assert widths == [dist.index_of(cand.threshold) + 1]
+
+    def test_equilibrium_and_certificate_allocate_no_n_wide_array(self):
+        # after the ladder's one n-wide set-up, each (cost, weighting) works on
+        # its threshold's prefix: its peak allocation stays below half of one
+        # float array over the degrees, where one n-wide array would pass it
+        params = EpidemicParams(2.0, power_law(1, 80_000, 3.0))
+        n = params.distribution.size
+        ladder = ThresholdLadder(params)
+        specs = [GameSpec(params, w, c) for w in (identity(), prelec(0.5)) for c in (0.1, 0.5, 0.9)]
+        tracemalloc.start()
+        try:
+            kinds = set()
+            for spec in specs:
+                res = solve_pne(spec, ladder=ladder)
+                assert verify_pne(spec, res.state).passed
+                kinds.add(res.interior)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kinds == {True, False}
+        assert peak < 4 * n, peak
 
     def test_pne_sweep_column_budget(self, monkeypatch, tmp_path):
         # the bench sweep's shape: 91 costs x 3 weightings over 4,999 degrees,

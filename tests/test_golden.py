@@ -40,6 +40,11 @@ most 3.5e-16 relative; no integer, label or time cell moved.
 ``bounds_d500_bounds.csv`` and ``single_degree_opt.csv`` did not move.
 Since then every exact file is also checked under other OpenBLAS kernels
 and under numpy's baseline SIMD dispatch, each in a child process.
+``bounds_d500_pne.csv`` was captured before each equilibrium's R, infected
+mass and unprotected mass became sums over its threshold's prefix.  Its
+499 degrees split numpy's pairwise sum, where ``powerlaw_d100``'s 100 are
+one leaf; its thresholds (21 to 33) still lie in the first leaf, so
+prefixes that cross a split are checked by ``test_dbmf.TestPrefixSum``.
 """
 
 import csv
@@ -96,6 +101,7 @@ def test_cli_matches_golden(golden, tmp_path):
 def test_exact_set_complete():
     assert [p.name for p in EXACT] == [
         "bounds_d500_bounds.csv",
+        "bounds_d500_pne.csv",
         "dynamics_d100_dynamics.csv",
         "dynamics_d100_dynamics.json",
         "dynamics_dense_dynamics.csv",
