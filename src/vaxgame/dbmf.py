@@ -24,8 +24,8 @@ from .degree import DegreeDistribution
 
 __all__ = [
     "EpidemicParams", "SocialState", "EndemicState", "Trajectory", "NimfaReduction", "ConsistencyError",
-    "ConvergenceError", "IntegrationError", "TableSizeError", "reproduction", "endemic_state", "batch_endemic_v",
-    "integrate_dbmf", "settle_dbmf", "nimfa_reduction"
+    "ConvergenceError", "IntegrationError", "TableSizeError", "reproduction", "infected_mass", "endemic_state",
+    "batch_endemic_v", "integrate_dbmf", "settle_dbmf", "nimfa_reduction"
 ]
 
 # Endemic roots closer to criticality than this resolve to v = 0.
@@ -181,6 +181,16 @@ def reproduction(params: EpidemicParams, state: SocialState) -> float:
     x, dist = state.prefix, params.distribution
     d = dist.float_degrees[: x.size]
     return prefix_sum(d * d * x, dist.size) / (params.delta * dist.mean_degree)
+
+
+def infected_mass(params: EpidemicParams, state: SocialState, v: float) -> float:
+    """Expected infected mass sum_d x_d*p_d at the neighbor-infection probability v.
+
+    Summed over the state's prefix, in the bits of the n-wide
+    ``np.sum(state.unprotected * p)``: the terms past the prefix are +0.0.
+    """
+    x = state.prefix
+    return prefix_sum(x * _probabilities(params, v, x.size), params.distribution.size)
 
 
 def _probabilities(params: EpidemicParams, v, width=None) -> np.ndarray:

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .dbmf import NEAR_CRITICAL_R, EpidemicParams, SocialState, _probabilities, endemic_state, prefix_sum, reproduction
+from .dbmf import NEAR_CRITICAL_R, EpidemicParams, SocialState, endemic_state, infected_mass, reproduction
 from .degree import DegreeDistribution
 from .weighting import WeightingSpec, identity, weight, weight_inverse
 
@@ -232,11 +232,16 @@ class EquilibriumResult:
     degenerate_window_tie: bool = False
 
 
+def _perceived_risk(spec: GameSpec, index: int, v: float) -> float:
+    """w(p_d) at the ``index``-th degree, p_d = d*v/(delta + d*v) in the bits of the n-wide p."""
+    d = float(spec.distribution.degrees[index])
+    return weight(spec.weighting, d * v / (spec.params.delta + d * v))
+
+
 def unprotected_cost(spec: GameSpec, state: SocialState, degree: int) -> float:
     """Perceived cost w(p_d) of staying unprotected in the given state."""
     i = spec.distribution.index_of(degree)
-    endemic = endemic_state(spec.params, state)
-    return weight(spec.weighting, float(endemic.p[i]))
+    return _perceived_risk(spec, i, endemic_state(spec.params, state).v)
 
 
 def _interior_fraction(spec: GameSpec, index: int, v_star: float) -> float:
@@ -263,14 +268,12 @@ def _result_from_candidate(
     tie: bool,
 ) -> EquilibriumResult:
     # sums over the threshold's prefix, in the bits of the n-wide sums
-    x = cand.prefix
-    p = _probabilities(spec.params, v, x.size)
-    infected = prefix_sum(x * p, spec.distribution.size)
+    infected = infected_mass(spec.params, cand, v)
     psi = infected + spec.cost * (1.0 - cand.unprotected_mass)
     r = reproduction(spec.params, cand)
     return EquilibriumResult(
         state=cand, v=v, K=K, window=window, interior=interior,
-        perceived_cost_at_threshold=weight(spec.weighting, float(p[-1])), expected_infected=infected,
+        perceived_cost_at_threshold=_perceived_risk(spec, cand.index, v), expected_infected=infected,
         social_cost=psi, reproduction=r, degenerate_near_critical=r <= 1.0 + NEAR_CRITICAL_R,
         degenerate_window_tie=tie,
     )
@@ -349,7 +352,7 @@ def solve_pne(spec: GameSpec, ladder: ThresholdLadder | None = None) -> Equilibr
     return _result_from_candidate(spec, cand, v, K, window, interior, tie)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PneCertificate:
     """Best-response equilibrium check, independent of the solver path.
 
@@ -357,25 +360,12 @@ class PneCertificate:
     must not exceed c, and with vaccinated mass it must not fall below c.
     ``max_violation`` is the largest such slack (0 if none), reached at
     ``degree`` (None at 0), and the state passes when it is at most
-    ``CERT_TOL``.  ``violations``, the slack per degree aligned with the
-    distribution's ``degrees``, is built n-wide when first read.
+    ``CERT_TOL``.
     """
 
     max_violation: float
     passed: bool
     degree: int | None
-    spec: GameSpec = field(repr=False)
-    state: SocialState = field(repr=False)
-    v: float = field(repr=False)
-
-    @cached_property
-    def violations(self) -> np.ndarray:
-        c, x_u = self.spec.cost, self.state.unprotected
-        w_p = weight(self.spec.weighting, _probabilities(self.spec.params, self.v))
-        # masked-out families read 0, so the slack is never negative
-        return np.maximum(
-            np.where(x_u > 0.0, w_p - c, 0.0), np.where(self.spec.distribution.mass - x_u > 1e-15, c - w_p, 0.0)
-        )
 
 
 def verify_pne(spec: GameSpec, state: SocialState) -> PneCertificate:
@@ -388,6 +378,7 @@ def verify_pne(spec: GameSpec, state: SocialState) -> PneCertificate:
     the lowest with vaccinated mass (above 1e-15), or 0.  A threshold
     state finds both in O(1): the threshold, and the threshold again (an
     interior fraction) or the next degree; any other state in one scan.
+    w is evaluated once per degree found, so at most twice.
     """
     if not isinstance(state, SocialState):
         raise TypeError("expected a SocialState")
@@ -402,15 +393,14 @@ def verify_pne(spec: GameSpec, state: SocialState) -> PneCertificate:
     else:
         vaccinated = np.flatnonzero(dist.mass - state.unprotected > 1e-15)
         low = int(vaccinated[0]) if vaccinated.size else dist.size
-    d = dist.float_degrees[[j for j in (top, low) if 0 <= j < dist.size]]
-    w_p = weight(spec.weighting, d * v / (spec.params.delta + d * v))
+    w_p = {j: _perceived_risk(spec, j, v) for j in {top, low} if 0 <= j < dist.size}
     worst, where = 0.0, None
-    if top >= 0 and w_p[0] - c > worst:
-        worst, where = float(w_p[0] - c), top
-    if low < dist.size and c - w_p[-1] > worst:
-        worst, where = float(c - w_p[-1]), low
+    if top >= 0 and w_p[top] - c > worst:
+        worst, where = w_p[top] - c, top
+    if low < dist.size and c - w_p[low] > worst:
+        worst, where = c - w_p[low], low
     degree = None if where is None else int(dist.degrees[where])
-    return PneCertificate(worst, worst <= CERT_TOL, degree, spec, state, v)
+    return PneCertificate(worst, worst <= CERT_TOL, degree)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dbmf import EpidemicParams, SocialState, _probabilities, batch_endemic_v, endemic_state
+from .dbmf import EpidemicParams, SocialState, _probabilities, batch_endemic_v, endemic_state, infected_mass
 from .game import CandidateState, GameSpec, compare_candidates, solve_pne
 from .weighting import weight
 
@@ -76,11 +76,10 @@ class SocialCostBreakdown:
 
 
 def social_cost(params: EpidemicParams, cost: float, state: SocialState) -> SocialCostBreakdown:
-    """Social cost of a state, evaluated with true probabilities."""
+    """Social cost of a state, evaluated with true probabilities over its prefix."""
     if not (0.0 < cost < 1.0):
         raise ValueError("vaccination cost must lie in (0, 1)")
-    endemic = endemic_state(params, state)
-    infected = float(np.sum(state.unprotected * endemic.p))
+    infected = infected_mass(params, state, endemic_state(params, state).v)
     vaccinated_mass = 1.0 - state.unprotected_mass
     vac = cost * vaccinated_mass
     return SocialCostBreakdown(infected + vac, infected, vac)

@@ -73,37 +73,22 @@ def _check_unit(value: float, name: str) -> float:
     return value
 
 
-def weight(spec: WeightingSpec, x):
-    """Perceived probability w(x) of a float, or elementwise of an ndarray.
+def weight(spec: WeightingSpec, x: float) -> float:
+    """Perceived probability w(x) of a float x in [0, 1].
 
     Endpoints are handled explicitly: the Prelec formula is singular at 0
-    and 1 but the function extends continuously with w(0)=0, w(1)=1.  A
-    float goes through ``math``; an array is evaluated in one numpy pass
-    and raises ValueError if any entry lies outside [0, 1] or is NaN.  The
-    two agree to about two ulps per unit of the exponent (-ln x)**alpha,
-    which is how much exp magnifies a rounding in its argument.
+    and 1 but the function extends continuously with w(0)=0, w(1)=1.  x
+    outside [0, 1] or NaN raises ValueError; an array of several values is
+    no float and raises TypeError.  The solvers place equilibria through
+    :func:`weight_inverse`; w is asked at a few scalar probabilities, by
+    the certificate and the reports, and no artifact writes its value.
     """
-    if isinstance(x, np.ndarray):
-        return _weight_array(spec, x)
     x = _check_unit(x, "probability")
     if spec.is_identity:
         return x
     if x == 0.0 or x == 1.0:
         return x
     return math.exp(-((-math.log(x)) ** spec.alpha))
-
-
-def _weight_array(spec: WeightingSpec, x: np.ndarray) -> np.ndarray:
-    out = np.array(x, dtype=np.float64)
-    # NaN fails both comparisons, so it lands in the mask too
-    bad = ~((out >= 0.0) & (out <= 1.0))
-    if bad.any():
-        raise ValueError(f"probability must lie in [0, 1], got {float(out[bad][0])!r}")
-    if spec.is_identity:
-        return out
-    inner = (out > 0.0) & (out < 1.0)
-    out[inner] = np.exp(-((-np.log(out[inner])) ** spec.alpha))
-    return out
 
 
 def weight_inverse(spec: WeightingSpec, y: float) -> float:
@@ -167,7 +152,7 @@ def verify_inverse_s_shape(spec: WeightingSpec) -> InverseSShapeReport:
         return InverseSShapeReport(spec, passed=True, skipped=True, checks={})
 
     xs = np.arange(1, SHAPE_GRID_SIZE + 1, dtype=np.float64) / (SHAPE_GRID_SIZE + 1)
-    ws = weight(spec, xs)
+    ws = np.array([weight(spec, x) for x in xs.tolist()])
     checks = {}
 
     d1 = np.diff(ws)

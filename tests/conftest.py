@@ -237,12 +237,12 @@ def best_response_violation(spec, unprotected, v):
 def certificate_reference(spec, state):
     """The n-wide best-response check that ``verify_pne``'s two-degree check replaced.
 
-    Re-solves the endemic state, weighs every degree's p_d in one array
-    pass and takes the slack of both families at every degree.  Returns
-    ``(max_violation, passed, violations)``, the slack aligned with the
-    distribution's degrees.
+    Re-solves the endemic state, weighs every degree's p_d with the scalar
+    ``weight`` and takes the slack of both families at every degree.
+    Returns ``(max_violation, passed, violations)``, the slack aligned with
+    the distribution's degrees.
     """
-    w_p = weight(spec.weighting, endemic_state(spec.params, state).p)
+    w_p = np.array([weight(spec.weighting, p) for p in endemic_state(spec.params, state).p.tolist()])
     x_u = state.unprotected
     x_v = spec.distribution.mass - x_u
     # masked-out families read 0, so the slack is never negative

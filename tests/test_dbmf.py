@@ -26,7 +26,7 @@ from vaxgame import (
     settle_dbmf,
 )
 from vaxgame import dbmf
-from vaxgame.dbmf import NEAR_CRITICAL_R, EndemicState, TableSizeError, prefix_sum
+from vaxgame.dbmf import NEAR_CRITICAL_R, EndemicState, TableSizeError, infected_mass, prefix_sum
 
 from conftest import (
     bisect_endemic_v,
@@ -82,8 +82,8 @@ class TestPrefixSum:
             assert prefix_sum(np.zeros(0), n) == 0.0
 
     def test_state_sums_match_the_n_wide_sums(self):
-        # R and the unprotected mass of a threshold state and of a random
-        # state with a zero tail, over their prefixes
+        # R, the unprotected mass and the infected mass of a threshold state
+        # and of a random state with a zero tail, over their prefixes
         dist = power_law(1, 5000, 3.0)
         params = EpidemicParams(2.0, dist)
         d = dist.float_degrees
@@ -97,6 +97,9 @@ class TestPrefixSum:
                 assert state.unprotected_mass.hex() == float(x.sum()).hex()
                 r = float(np.sum(d * d * x[None, :], axis=1)[0]) / (params.delta * dist.mean_degree)
                 assert reproduction(params, state).hex() == r.hex()
+                v = float(rng.uniform(0.0, 1.0))
+                infected = float(np.sum(x * (d * v / (params.delta + d * v))))
+                assert infected_mass(params, state, v).hex() == infected.hex()
 
 
 class TestReproduction:

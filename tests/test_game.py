@@ -17,7 +17,6 @@ from vaxgame import (
     ThresholdLadder,
     compare_candidates,
     compare_true_vs_weighted,
-    endemic_state,
     explicit,
     identity,
     power_law,
@@ -31,7 +30,6 @@ from vaxgame import (
 from vaxgame import cli
 from vaxgame.cli import cmd_pne, load_scenario
 from vaxgame.dbmf import ROOT_TOL
-from vaxgame.game import CERT_TOL
 from vaxgame.degree import MIN_MASS, DegreeDistribution
 
 from conftest import (
@@ -500,6 +498,18 @@ class TestSolvePne:
             ), (t, f, res.state)
 
 
+def assert_certifies_as_reference(spec, state, cert):
+    """``cert`` of ``state`` against the n-wide reference: the same worst slack
+    to the bit, the same verdict, and a degree where that slack is reached."""
+    worst, passed, viol = certificate_reference(spec, state)
+    assert cert.max_violation.hex() == worst.hex(), state
+    assert cert.passed == passed
+    if worst > 0.0:
+        assert viol[spec.distribution.index_of(cert.degree)] == worst
+    else:
+        assert cert.degree is None
+
+
 class TestVerifyPne:
     def test_solver_output_certifies(self):
         rng = np.random.default_rng(53)
@@ -526,24 +536,6 @@ class TestVerifyPne:
                 found = True
         assert found
 
-    @staticmethod
-    def scalar_certificate(spec, social):
-        """The per-degree certificate loop that the array form replaced."""
-        p = endemic_state(spec.params, social).p
-        by_degree, worst = {}, 0.0
-        for i, degree in enumerate(spec.distribution.degrees):
-            w_p = weight(spec.weighting, float(p[i]))
-            x_u = float(social.unprotected[i])
-            x_v = float(spec.distribution.mass[i]) - x_u
-            viol = 0.0
-            if x_u > 0.0:
-                viol = max(viol, w_p - spec.cost)
-            if x_v > 1e-15:
-                viol = max(viol, spec.cost - w_p)
-            by_degree[int(degree)] = viol
-            worst = max(worst, viol)
-        return worst, worst <= CERT_TOL, by_degree
-
     def test_matches_scalar_loop(self):
         rng = np.random.default_rng(67)
         for _ in range(40):
@@ -566,14 +558,7 @@ class TestVerifyPne:
                 CandidateState.all_unprotected(dist),
             ]
             for social in states:
-                cert = verify_pne(spec, social)
-                worst, passed, by_degree = self.scalar_certificate(spec, social)
-                assert cert.passed == passed
-                assert cert.max_violation == pytest.approx(worst, abs=1e-15)
-                assert cert.violations.shape == (dist.size,)
-                assert list(by_degree) == dist.degrees.tolist()
-                for i, (degree, viol) in enumerate(by_degree.items()):
-                    assert cert.violations[i] == pytest.approx(viol, abs=1e-15), degree
+                assert_certifies_as_reference(spec, social, verify_pne(spec, social))
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(game=certificate_games())
@@ -582,14 +567,7 @@ class TestVerifyPne:
         # to the bit, the same verdict, and a degree where that slack is reached
         spec, states = game
         for state in states:
-            cert = verify_pne(spec, state)
-            worst, passed, viol = certificate_reference(spec, state)
-            assert cert.max_violation.hex() == worst.hex(), state
-            assert cert.passed == passed
-            if worst > 0.0:
-                assert viol[spec.distribution.index_of(cert.degree)] == worst
-            else:
-                assert cert.degree is None
+            assert_certifies_as_reference(spec, state, verify_pne(spec, state))
 
     def test_rejects_non_states(self):
         spec = k4_spec()
@@ -640,8 +618,9 @@ class TestRootWorkBudget:
         split = CandidateState(dist, 50, 0.5 * dist.mass_of(50))
         for cand in (res.state, split, CandidateState(dist, 1000)):
             widths.clear()
-            assert verify_pne(spec, cand).violations.shape == (dist.size,)
+            cert = verify_pne(spec, cand)
             assert widths == [dist.index_of(cand.threshold) + 1]
+            assert_certifies_as_reference(spec, cand, cert)
 
     def test_equilibrium_and_certificate_allocate_no_n_wide_array(self):
         # after the ladder's one n-wide set-up, each (cost, weighting) works on

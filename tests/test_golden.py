@@ -45,6 +45,13 @@ mass and unprotected mass became sums over its threshold's prefix.  Its
 499 degrees split numpy's pairwise sum, where ``powerlaw_d100``'s 100 are
 one leaf; its thresholds (21 to 33) still lie in the first leaf, so
 prefixes that cross a split are checked by ``test_dbmf.TestPrefixSum``.
+``powerlaw_d274_{pne,opt}.csv`` were captured before the certificate and
+the planner's social cost left the n-wide p and w became one scalar
+function.  The 273 degrees split numpy's pairwise sum into nodes of 136
+and then 64, and the split equilibrium thresholds reach index 81, past
+the 64-term node, so these prefixes cross a split: a ``prefix_sum`` that
+sums every prefix of at most 128 terms in one leaf moves bytes of both
+files.
 """
 
 import csv
@@ -108,6 +115,8 @@ def test_exact_set_complete():
         "dynamics_dense_dynamics.json",
         "powerlaw_d100_opt.csv",
         "powerlaw_d100_pne.csv",
+        "powerlaw_d274_opt.csv",
+        "powerlaw_d274_pne.csv",
         "single_degree_opt.csv",
     ]
 

@@ -5,9 +5,16 @@ import pytest
 
 from vaxgame import (
     PERCEPTION_FIXED_POINT,
+    EpidemicParams,
+    GameSpec,
+    SocialOptimumSolver,
     identity,
+    power_law,
     prelec,
+    solve_pne,
+    unprotected_cost,
     verify_inverse_s_shape,
+    verify_pne,
     weight,
     weight_derivative,
     weight_inverse,
@@ -72,59 +79,31 @@ class TestWeight:
             prelec(1.5)
 
 
-def spread_points(seed=29):
-    """Interior points on both scales, plus points piled against 0 and 1."""
-    rng = np.random.default_rng(seed)
-    return np.concatenate(
-        [
-            rng.uniform(0.0, 1.0, 20_000),
-            10.0 ** rng.uniform(-300.0, 0.0, 5_000),
-            1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 5_000),
-        ]
-    )
+class TestScalarOnly:
+    """w is one scalar ``math`` function; no package path weighs an array."""
 
+    def test_an_array_is_no_float(self):
+        with pytest.raises(TypeError):
+            weight(prelec(0.5), np.array([0.2, 0.3]))
 
-class TestWeightArray:
-    POINTS = spread_points()
+    @pytest.mark.parametrize("alpha", [None, 0.05, 0.25, 0.5, 0.75])
+    def test_game_and_planner_run_without_numpy_exp_and_log(self, alpha, monkeypatch):
+        # the power law is built before exp and log are patched
+        params = EpidemicParams(2.0, power_law(1, 100, 3.0))
+        solver = SocialOptimumSolver(params)
+        spec = identity() if alpha is None else prelec(alpha)
 
-    def scalar(self, spec, xs):
-        return np.array([weight(spec, float(x)) for x in xs])
+        def refuse(*args, **kwargs):
+            raise RuntimeError("numpy exp or log called")
 
-    @pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5, 0.75])
-    def test_prelec_within_16_ulps_of_scalar(self, alpha):
-        # exp scales a relative error in its argument y = (-ln x)**alpha by
-        # |y|, so the bound is 16 ulps while |y| <= 4 and 4|y| ulps beyond
-        # (x = 1e-300 at alpha 0.75 has y ~ 135 and differs by up to ~250)
-        spec = prelec(alpha)
-        got = weight(spec, self.POINTS)
-        want = self.scalar(spec, self.POINTS)
-        assert isinstance(got, np.ndarray) and got.shape == self.POINTS.shape
-        ulps = np.abs(got - want) / np.spacing(want)
-        y = (-np.log(self.POINTS)) ** alpha
-        excess = ulps / (16.0 * np.maximum(1.0, y / 4.0))
-        assert excess.max() <= 1.0, float(self.POINTS[np.argmax(excess)])
-
-    @pytest.mark.parametrize("spec", [identity(), prelec(1.0)], ids=["identity", "alpha-1"])
-    def test_identity_exact(self, spec):
-        got = weight(spec, self.POINTS)
-        assert np.array_equal(got, self.POINTS)
-        assert got is not self.POINTS
-
-    @pytest.mark.parametrize("spec", [identity(), prelec(0.05), prelec(0.5)], ids=["identity", "0.05", "0.5"])
-    def test_endpoints_exact(self, spec):
-        got = weight(spec, np.array([0.0, 1.0, 0.5, 1.0, 0.0]))
-        assert got[0] == 0.0 and got[1] == 1.0 and got[3] == 1.0 and got[4] == 0.0
-
-    @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.1])
-    @pytest.mark.parametrize("spec", [identity(), prelec(0.5)], ids=["identity", "prelec"])
-    def test_domain_errors(self, spec, bad):
-        with pytest.raises(ValueError):
-            weight(spec, np.array([0.2, bad, 0.7]))
-
-    def test_input_not_modified(self):
-        xs = np.array([0.0, 0.3, 1.0])
-        weight(prelec(0.5), xs)
-        assert xs.tolist() == [0.0, 0.3, 1.0]
+        monkeypatch.setattr(np, "exp", refuse)
+        monkeypatch.setattr(np, "log", refuse)
+        for c in (0.1, 0.5, 0.9):
+            game = GameSpec(params, spec, c)
+            res = solve_pne(game)
+            verify_pne(game, res.state)
+            assert 0.0 <= unprotected_cost(game, res.state, res.state.threshold) <= 1.0
+            solver.solve(c)
 
 
 class TestRoundTrip:
